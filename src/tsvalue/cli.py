@@ -1,8 +1,8 @@
 """Command-line surface: synth | value | oracle-compare | select-eval | ablate | bench | generalize.
 
-All parameters come from a JSON config file; --seed, --workers, and --out
-override the matching scalar fields. Exit codes: 1 config error, 2 data
-error, 3 numerical failure, each with one machine-parsable line on stderr.
+All parameters come from a JSON config file; --seed and --out override the
+matching scalar fields. Exit codes: 1 config error, 2 data error, 3 numerical
+failure, each with one machine-parsable line on stderr.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .series import (
     split_holdout,
 )
 from .synthetic import generate, write_csv as write_series_csv
-from .valuation import block_to_instance, block_value, grad_inner_influence
+from .valuation import block_to_instance, check_coverage, grad_inner_influence, score_blocks_batch
 
 OUTPUT_DIR_ENV = "TSVALUE_OUT"
 
@@ -59,8 +59,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 1
     try:
-        cfg = RunConfig.load(args.config, seed=args.seed, workers=args.workers,
-                             output_dir=_resolve_out(args))
+        cfg = RunConfig.load(args.config, seed=args.seed, output_dir=_resolve_out(args))
         out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, out_dir)
@@ -105,7 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--workers", type=int, default=None, help="override worker count")
         p.add_argument("--out", default=None,
                        help=f"output directory (or ${OUTPUT_DIR_ENV}; else config)")
     return parser
@@ -167,11 +165,11 @@ def cmd_synth(cfg: RunConfig, out_dir: Path) -> None:
 
 def cmd_value(cfg: RunConfig, out_dir: Path) -> None:
     prep = _prepare(cfg)
+    check_coverage(prep.target.length, cfg.valuation)
     model, params = _value_model(cfg, prep.target)
     save_model(out_dir / "value_model.json", model.spec, params,
                meta={"version": __version__, "config_hash": cfg.config_hash})
-    run = run_valuation(prep.target, cfg.valuation, model, params,
-                        n_workers=cfg.workers)
+    run = run_valuation(prep.target, cfg.valuation, model, params)
     paths = write_scores(out_dir, cfg.config_hash, cfg.normalized(),
                          run.block_scores, run.point_scores, run.sample_scores)
     if prep.labels is not None:
@@ -187,9 +185,9 @@ def cmd_value(cfg: RunConfig, out_dir: Path) -> None:
 
 def cmd_select_eval(cfg: RunConfig, out_dir: Path) -> None:
     prep = _prepare(cfg)
+    check_coverage(prep.target.length, cfg.valuation)
     model, params = _value_model(cfg, prep.target)
-    run = run_valuation(prep.target, cfg.valuation, model, params,
-                        n_workers=cfg.workers)
+    run = run_valuation(prep.target, cfg.valuation, model, params)
     reports = []
     for strategy in cfg.selection.strategies:
         sel = select(run.sample_scores, strategy, cfg.selection.ratio, seed=cfg.seed)
@@ -254,8 +252,7 @@ def _oracle_scores(method: str, cfg: RunConfig, model, params,
     vcfg = cfg.valuation
     oc = cfg.oracle_compare
     if method == "one_step":
-        return [block_value(model, params, inst, context_insts, vcfg)
-                for inst in scored_insts]
+        return score_blocks_batch(model, params, scored_insts, context_insts, vcfg).tolist()
     if method == "grad_inner":
         return [grad_inner_influence(model, params, inst, context_insts,
                                      vcfg.learning_rate)
@@ -303,7 +300,7 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path) -> None:
                                 cfg.valuation, cfg.pretrain, cfg.finetune,
                                 ratio=cfg.ablation.ratio,
                                 strategies=cfg.ablation.strategies,
-                                seed=cfg.seed, n_workers=cfg.workers)
+                                seed=cfg.seed)
     path = write_ablation(out_dir, cfg.config_hash, cells)
     print(f"tsvalue: wrote {path} and {out_dir / 'ablation_table.csv'}")
 
@@ -321,6 +318,7 @@ def cmd_bench(cfg: RunConfig, out_dir: Path) -> None:
 
 def cmd_generalize(cfg: RunConfig, out_dir: Path) -> None:
     prep = _prepare(cfg)
+    check_coverage(prep.target.length, cfg.valuation)
     value_spec = cfg.model.spec(cfg.valuation.block_length, prep.series.n_channels)
     downstream_spec = cfg.downstream_model.spec(cfg.valuation.block_length,
                                                 prep.series.n_channels)
@@ -328,7 +326,7 @@ def cmd_generalize(cfg: RunConfig, out_dir: Path) -> None:
                                        downstream_spec, list(cfg.generalize.ratios),
                                        cfg.valuation, cfg.pretrain, cfg.finetune,
                                        strategies=cfg.generalize.strategies,
-                                       seed=cfg.seed, n_workers=cfg.workers)
+                                       seed=cfg.seed)
     path = write_generalization(out_dir, cfg.config_hash, cells)
     print(f"tsvalue: wrote {path}")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -159,19 +160,20 @@ class RunConfig:
     bench: BenchConfig
     generalize: GeneralizeConfig
     seed: int
-    workers: int
     output_dir: str
 
     @classmethod
-    def from_dict(cls, raw: dict, seed: int | None = None, workers: int | None = None,
+    def from_dict(cls, raw: dict, seed: int | None = None,
                   output_dir: str | None = None) -> "RunConfig":
+        if "workers" in raw:  # went with the scoring thread pool; ignored and not hashed
+            print("tsvalue: warning: config key 'workers' is deprecated; ignored", file=sys.stderr)
+            raw = {k: v for k, v in raw.items() if k != "workers"}
         top = _section(raw, {
             "dataset": None, "test_fraction": 0.3, "normalize": True,
             "valuation": None, "model": None, "downstream_model": None,
             "pretrain": None, "finetune": None, "selection": None,
             "corruption": None, "oracle_compare": None, "ablation": None,
-            "bench": None, "generalize": None, "seed": 0, "workers": 1,
-            "output_dir": "out",
+            "bench": None, "generalize": None, "seed": 0, "output_dir": "out",
         }, "top level")
         the_seed = top["seed"] if seed is None else seed
         cfg = cls(
@@ -211,7 +213,6 @@ class RunConfig:
                                     "strategies": ("top", "bottom", "random")},
                 "generalize")),
             seed=the_seed,
-            workers=top["workers"] if workers is None else workers,
             output_dir=top["output_dir"] if output_dir is None else output_dir,
         )
         return cfg

@@ -37,7 +37,7 @@ def ablate_block_length(series: TimeSeries, split: HoldoutSplit,
                         config: ValuationConfig, pretrain: TrainSettings,
                         finetune: TrainSettings, ratio: float = 0.2,
                         strategies: tuple[str, ...] = ("top", "bottom", "random"),
-                        seed: int = 0, n_workers: int = 1) -> list[AblationCell]:
+                        seed: int = 0) -> list[AblationCell]:
     """Full valuation + selection + evaluation for each block length."""
     if max(block_lengths) > split.target_end:
         raise ValueError("largest block length exceeds the target split")
@@ -47,7 +47,7 @@ def ablate_block_length(series: TimeSeries, split: HoldoutSplit,
         cfg = replace(config, block_length=length, seed=seed)
         spec = spec_for_block_length(model_template, length)
         model, params = fit_value_model(target, spec, pretrain, seed)
-        run = run_valuation(target, cfg, model, params, n_workers=n_workers)
+        run = run_valuation(target, cfg, model, params)
         for strategy in strategies:
             sel = select(run.sample_scores, strategy, ratio, seed=seed)
             report = finetune_and_eval(model, params, sel, list(run.samples),
@@ -69,7 +69,7 @@ def cross_model_generalization(series: TimeSeries, split: HoldoutSplit,
                                ratios: list[float], config: ValuationConfig,
                                pretrain: TrainSettings, finetune: TrainSettings,
                                strategies: tuple[str, ...] = ("top", "bottom", "random"),
-                               seed: int = 0, n_workers: int = 1,
+                               seed: int = 0,
                                downstream_base: np.ndarray | None = None
                                ) -> list[GeneralizationCell]:
     """Score with one model, train another on the selections.
@@ -81,7 +81,7 @@ def cross_model_generalization(series: TimeSeries, split: HoldoutSplit,
     """
     target = series.slice(0, split.target_end)
     value_model, value_params = fit_value_model(target, value_spec, pretrain, seed)
-    run = run_valuation(target, config, value_model, value_params, n_workers=n_workers)
+    run = run_valuation(target, config, value_model, value_params)
     if downstream_base is None:
         downstream, base = fit_value_model(target, downstream_spec, pretrain, seed)
     else:

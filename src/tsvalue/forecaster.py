@@ -269,21 +269,13 @@ class Forecaster:
         return np.concatenate([dtheta1, dtheta2], axis=1)
 
     # --- vectorized multi-parameter kernels ----------------------------------
-    # Used by the scaling benchmark and dense Hessian assembly, where looping
-    # over parameter variants in Python would measure interpreter overhead
+    # Used by block scoring and dense Hessian assembly, where looping over
+    # parameter variants in Python would spend the time on interpreter overhead
     # instead of arithmetic. Must agree with the reference paths to ~1e-12.
 
-    def loss_many_params(self, params2d: np.ndarray,
-                         instances: list[ForecastInstance],
-                         chunk: int = 32) -> np.ndarray:
-        """Mean batch loss for each row of a B x P parameter matrix."""
-        a, y = self.design_matrix(instances)
-        out = np.empty(params2d.shape[0])
-        for lo in range(0, params2d.shape[0], chunk):
-            block = params2d[lo:lo + chunk]
-            pred = self._forward_many(block, a)
-            out[lo:lo + chunk] = np.mean((pred - y) ** 2, axis=(1, 2))
-        return out
+    def loss_many_params(self, params2d: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Mean loss on design rows ``(a, y)`` for each row of a B x P parameter matrix."""
+        return np.mean((self._forward_many(params2d, a) - y) ** 2, axis=(1, 2))
 
     def grad_many_params(self, params2d: np.ndarray,
                          instances: list[ForecastInstance],
@@ -412,15 +404,15 @@ class OptimizerState:
 
 def optimizer_step(params: np.ndarray, grad: np.ndarray,
                    state: OptimizerState) -> tuple[np.ndarray, OptimizerState]:
-    """One update; returns new params and advanced state, inputs untouched."""
+    """One update (per row for B x P grads); returns new params and state, inputs untouched."""
     if not np.isfinite(grad).all():
         raise NonFiniteGradient("gradient contains NaN or Inf")
     cfg = state.config
     g = grad
     if cfg.clip_norm is not None:
-        norm = float(np.linalg.norm(g))
-        if norm > cfg.clip_norm:
-            g = g * (cfg.clip_norm / norm)
+        # the same dot product as np.linalg.norm, so 1-D steps are bitwise unchanged
+        norm = np.sqrt(g[..., None, :] @ g[..., :, None])[..., 0]
+        g = g * (cfg.clip_norm / np.maximum(norm, cfg.clip_norm))
     if cfg.kind == "sgd":
         if cfg.weight_decay:
             g = g + cfg.weight_decay * params

@@ -76,10 +76,9 @@ def fit_value_model(target: TimeSeries, spec: ModelSpec,
 
 
 def run_valuation(target: TimeSeries, config: ValuationConfig,
-                  model: Forecaster, params: np.ndarray,
-                  n_workers: int = 1) -> ValuationRun:
+                  model: Forecaster, params: np.ndarray) -> ValuationRun:
     """Score all blocks of the target split and aggregate to points and samples."""
-    block_scores = value_all_blocks(target, model, params, config, n_workers=n_workers)
+    block_scores = value_all_blocks(target, model, params, config)
     point_scores = aggregate_points(block_scores, target.length)
     samples = enumerate_samples((0, target.length), config.effective_sample_length)
     sample_scores = aggregate_samples(point_scores, samples)

@@ -15,12 +15,11 @@ across blocks.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyContext, HorizonTooLong, ShapeMismatch, WhollyUnscoredSample
+from .errors import ConfigError, EmptyContext, HorizonTooLong, ShapeMismatch, WhollyUnscoredSample
 from .forecaster import (
     ForecastInstance,
     Forecaster,
@@ -52,11 +51,13 @@ class ValuationConfig:
     def __post_init__(self):
         # zero is allowed: the degenerate no-step case scores every block 0
         if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+            raise ConfigError("learning_rate must be >= 0")
         if self.block_length < 2:
-            raise ValueError("block_length must be >= 2")
+            raise ConfigError("block_length must be >= 2")
+        if self.stride < 1:
+            raise ConfigError("stride must be >= 1")
         if self.k_folds < 2:
-            raise ValueError("k_folds must be >= 2")
+            raise ConfigError("k_folds must be >= 2")
 
     @property
     def effective_sample_length(self) -> int:
@@ -118,19 +119,12 @@ def finetune_one_step(model: Forecaster, params: np.ndarray,
 
 def block_value(model: Forecaster, params: np.ndarray,
                 block_instance: ForecastInstance,
-                context: list[ForecastInstance], config: ValuationConfig,
-                context_loss_before: float | None = None) -> float:
-    """Context loss drop after one finetune step on the block instance.
-
-    ``context_loss_before`` can be passed in when many blocks share one
-    context set; it must equal ``batch_loss(params, context)``.
-    """
+                context: list[ForecastInstance], config: ValuationConfig) -> float:
+    """Context loss drop after one finetune step on the block; score_blocks_batch's reference."""
     if not context:
         raise EmptyContext("block_value needs at least one context instance")
-    if context_loss_before is None:
-        context_loss_before = model.batch_loss(params, context)
     tuned = finetune_one_step(model, params, block_instance, config)
-    return context_loss_before - model.batch_loss(tuned.params_after, context)
+    return model.batch_loss(params, context) - model.batch_loss(tuned.params_after, context)
 
 
 def grad_inner_influence(model: Forecaster, params: np.ndarray,
@@ -152,15 +146,15 @@ def grad_inner_influence(model: Forecaster, params: np.ndarray,
 
 
 def value_all_blocks(series: TimeSeries, model: Forecaster, params: np.ndarray,
-                     config: ValuationConfig, n_workers: int = 1) -> list[BlockScore]:
+                     config: ValuationConfig) -> list[BlockScore]:
     """Score every block of the (target-split) series under the fold protocol.
 
     Samples are folded with the config seed; a block belongs to the fold of
     the sample containing its start index (blocks past the last full sample
     adopt the last sample's fold). Context for a fold is the block instances
-    of all other folds, optionally subsampled to ``context_cap``. Every block
-    is scored from the same starting params; output is ordered by block start
-    for any worker count.
+    of all other folds, optionally subsampled to ``context_cap``. Each fold's
+    blocks are scored by one :func:`score_blocks_batch` call, every block
+    from the same starting params; output is ordered by block start.
     """
     horizon = model.spec.horizon
     if model.spec.lookback + horizon != config.block_length:
@@ -179,53 +173,56 @@ def value_all_blocks(series: TimeSeries, model: Forecaster, params: np.ndarray,
         folds.assignment[min(b.start // sample_len, len(samples) - 1)] for b in blocks
     ])
 
-    # per-fold context instance index lists (seeded subsampling when capped)
-    fold_context: dict[int, list[int]] = {}
-    fold_loss_before: dict[int, float] = {}
+    values = np.empty(len(blocks))
     for fold_id in range(config.k_folds):
-        ctx_idx = np.flatnonzero(block_folds != fold_id)
+        in_fold = block_folds == fold_id
+        ctx_idx = np.flatnonzero(~in_fold)
         if ctx_idx.size == 0:
             raise EmptyContext(f"fold {fold_id} has no out-of-fold context blocks")
         if config.context_cap is not None and ctx_idx.size > config.context_cap:
             rng = np.random.default_rng([config.seed, fold_id])
             ctx_idx = np.sort(rng.choice(ctx_idx, size=config.context_cap, replace=False))
-        fold_context[fold_id] = ctx_idx.tolist()
-        fold_loss_before[fold_id] = model.batch_loss(
-            params, [instances[i] for i in ctx_idx])
+        values[in_fold] = score_blocks_batch(
+            model, params, [instances[i] for i in np.flatnonzero(in_fold)],
+            [instances[i] for i in ctx_idx], config)
+    return [BlockScore(block=b, value=float(v), fold_id=int(f))
+            for b, v, f in zip(blocks, values, block_folds)]
 
-    def score_one(i: int) -> BlockScore:
-        fold_id = int(block_folds[i])
-        ctx = [instances[j] for j in fold_context[fold_id]]
-        v = block_value(model, params, instances[i], ctx, config,
-                        context_loss_before=fold_loss_before[fold_id])
-        return BlockScore(block=blocks[i], value=v, fold_id=fold_id)
 
-    if n_workers <= 1:
-        return [score_one(i) for i in range(len(blocks))]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(score_one, range(len(blocks))))
+# Working-set cap of one scoring chunk, in float64 values (512 KiB). At 1 MiB,
+# on a 2-vCPU Xeon, the chunk temporaries page-faulted in every chunk and
+# scoring ran slower.
+SCORE_CHUNK_FLOATS = 2**16
 
 
 def score_blocks_batch(model: Forecaster, params: np.ndarray,
                        block_instances: list[ForecastInstance],
                        context: list[ForecastInstance],
-                       config: ValuationConfig, chunk: int = 16) -> np.ndarray:
-    """Vectorized block values: same math as :func:`block_value` with SGD,
-    computed for all blocks in batched array ops.
+                       config: ValuationConfig) -> np.ndarray:
+    """:func:`block_value` for many blocks against one context set, in chunks.
 
-    Exists so wall-clock scaling measurements reflect arithmetic cost rather
-    than per-block Python overhead; agreement with the reference path is
-    covered by tests.
+    The context is stacked once. A chunk's gradients step as the rows of one
+    :func:`optimizer_step` call (SGD or Adam, fresh state), and the context
+    loss is taken for all its tuned rows at once. A chunk of c blocks holds
+    c x (n_context x width + P) floats, width being the mlp's hidden size or
+    the linear output size; c is the largest count (at least 1) that fits in
+    ``SCORE_CHUNK_FLOATS``.
     """
     if not context:
         raise EmptyContext("score_blocks_batch needs at least one context instance")
-    if config.optimizer_kind != "sgd":
-        raise ValueError("vectorized scoring supports plain SGD only")
-    grads = model.grad_per_instance(params, block_instances)
-    tuned = params[None, :] - config.learning_rate * grads
-    loss_before = model.batch_loss(params, context)
-    loss_after = model.loss_many_params(tuned, context, chunk=chunk)
-    return loss_before - loss_after
+    spec = model.spec
+    width = spec.hidden if spec.architecture == "mlp" else spec.out_dim
+    chunk = max(1, SCORE_CHUNK_FLOATS // (len(context) * width + spec.n_params))
+    state = OptimizerState.fresh(config.optimizer(), spec.n_params)
+    a, y = model.design_matrix(context)
+    values = np.empty(len(block_instances))
+    for lo in range(0, len(block_instances), chunk):
+        grads = model.grad_per_instance(params, block_instances[lo:lo + chunk])
+        tuned, _ = optimizer_step(params, grads, state)
+        # row 0 is the untuned params: one kernel call, so a zero step scores 0
+        losses = model.loss_many_params(np.vstack([params, tuned]), a, y)
+        values[lo:lo + chunk] = losses[0] - losses[1:]
+    return values
 
 
 def aggregate_points(block_scores: list[BlockScore], t_target: int) -> PointScores:
@@ -239,6 +236,13 @@ def aggregate_points(block_scores: list[BlockScore], t_target: int) -> PointScor
     scored = coverage > 0
     values[scored] = total[scored] / coverage[scored]
     return PointScores(values=values, coverage=coverage)
+
+
+def check_coverage(length: int, config: ValuationConfig) -> None:
+    """Raise WhollyUnscoredSample, before any training, if a sample would get no scored point."""
+    blocks = segment_blocks((0, length), config.block_length, config.stride)
+    points = aggregate_points([BlockScore(b, 0.0, 0) for b in blocks], length)
+    aggregate_samples(points, enumerate_samples((0, length), config.effective_sample_length))
 
 
 def aggregate_samples(point_scores: PointScores,

@@ -57,6 +57,26 @@ class TestConfig:
         b = RunConfig.load(path, seed=99)
         assert a.config_hash != b.config_hash
 
+    def test_deprecated_workers_key_warns_and_is_ignored(self, tmp_path, capsys):
+        plain = RunConfig.load(write_config(tmp_path, name="plain.json"))
+        assert capsys.readouterr().err == ""
+        legacy = RunConfig.load(write_config(tmp_path, {"workers": 4}, name="legacy.json"))
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "'workers'" in err[0] and "deprecated" in err[0]
+        assert legacy.config_hash == plain.config_hash
+
+    @pytest.mark.parametrize("key, value", [
+        ("k_folds", 1), ("block_length", 1), ("learning_rate", -0.1), ("stride", 0),
+    ])
+    def test_bad_valuation_value_exits_1(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, {"valuation": {key: value}})
+        assert main(["value", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("tsvalue: exit=1 kind=")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
 
 class TestSynth:
     def test_writes_csv_with_header(self, tmp_path, capsys):
@@ -141,6 +161,21 @@ class TestValue:
         assert main(["value", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "exit=2" in err and "kind=" in err
+
+    def test_unscored_sample_exits_2_before_training(self, tmp_path, capsys):
+        # target 420 steps: blocks [0, 50) and [200, 250) leave the sample
+        # [50, 100) with no scored point, which the config alone determines
+        path = write_config(tmp_path, {
+            "dataset": {"synthetic": {"generator": "sine_mix", "length": 600,
+                                      "noise_std": 0.05, "seed": 1}},
+            "valuation": {"block_length": 50, "stride": 200}})
+        assert main(["value", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("tsvalue: exit=2 kind=WhollyUnscoredSample")
+        assert "training" not in captured.out
+        assert not (tmp_path / "out" / "value_model.json").exists()
 
     def test_loads_checkpoint_instead_of_training(self, tmp_path):
         path = write_config(tmp_path)

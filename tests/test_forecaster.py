@@ -254,7 +254,7 @@ class TestVectorizedKernels:
         insts = rand_instances(spec, 7, seed=6)
         rows = np.stack([m.init_params() + 0.1 * rng.normal(size=spec.n_params)
                          for _ in range(9)])
-        losses = m.loss_many_params(rows, insts, chunk=4)
+        losses = m.loss_many_params(rows, *m.design_matrix(insts))
         grads = m.grad_many_params(rows, insts, chunk=4)
         for i, row in enumerate(rows):
             assert abs(losses[i] - m.batch_loss(row, insts)) <= 1e-12

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsvalue import errors
+from tsvalue import errors, valuation
 from tsvalue.forecaster import ForecastInstance, Forecaster, ModelSpec
 from tsvalue.series import Block, SampleWindow, TimeSeries
 from tsvalue.valuation import (
@@ -159,12 +161,28 @@ class TestValueAllBlocks:
         assert [s.block.start for s in a] == list(range(series.length - 6 + 1))
         assert [s.value for s in a] == [s.value for s in b]
 
-    def test_worker_count_bitwise_identical(self):
+    @pytest.mark.parametrize("context_cap", [None, 5])
+    def test_every_score_matches_reference(self, context_cap):
+        # rebuild each block's fold context by the documented rule and score
+        # the block alone with the single-block reference
         series, model, params, config = small_setup()
-        serial = value_all_blocks(series, model, params, config, n_workers=1)
-        parallel = value_all_blocks(series, model, params, config, n_workers=4)
-        assert [s.value for s in serial] == [s.value for s in parallel]
-        assert [s.fold_id for s in serial] == [s.fold_id for s in parallel]
+        config = replace(config, context_cap=context_cap)
+        scores = value_all_blocks(series, model, params, config)
+        fold_ids = np.array([s.fold_id for s in scores])
+        insts = [block_to_instance(series, s.block, 1) for s in scores]
+        for i, s in enumerate(scores):
+            ctx_idx = np.flatnonzero(fold_ids != s.fold_id)
+            if context_cap is not None:
+                rng = np.random.default_rng([config.seed, s.fold_id])
+                ctx_idx = np.sort(rng.choice(ctx_idx, size=context_cap, replace=False))
+            ctx = [insts[j] for j in ctx_idx]
+            assert abs(s.value - block_value(model, params, insts[i], ctx, config)) <= 1e-12
+
+    @pytest.mark.parametrize("optimizer_kind", ["sgd", "adam"])
+    def test_zero_learning_rate_scores_exactly_zero(self, optimizer_kind):
+        series, model, params, config = small_setup()
+        config = replace(config, learning_rate=0.0, optimizer_kind=optimizer_kind)
+        assert all(s.value == 0.0 for s in value_all_blocks(series, model, params, config))
 
     def test_context_excludes_own_fold(self):
         series, model, params, config = small_setup()
@@ -248,19 +266,34 @@ class TestValueAllBlocks:
 
 
 class TestScoreBlocksBatch:
-    def test_matches_reference_loop(self):
-        spec = ModelSpec("mlp", 5, 1, 1, hidden=6, init_seed=0)
+    # chunk_floats=200 gives the mlp (P = 43, 7 context rows x 6 hidden)
+    # chunks of 200 // (42 + 43) = 2 blocks: six chunks, the last one partial
+    @pytest.mark.parametrize("architecture, optimizer_kind, chunk_floats", [
+        ("linear_ar", "sgd", None),
+        ("linear_ar", "adam", None),
+        ("mlp", "sgd", None),
+        ("mlp", "adam", None),
+        ("mlp", "adam", 200),
+    ], ids=["linear_ar-sgd", "linear_ar-adam", "mlp-sgd", "mlp-adam",
+            "mlp-adam-chunked"])
+    def test_matches_reference_loop(self, monkeypatch, architecture,
+                                    optimizer_kind, chunk_floats):
+        if chunk_floats is not None:
+            monkeypatch.setattr(valuation, "SCORE_CHUNK_FLOATS", chunk_floats)
+        spec = ModelSpec(architecture, 5, 1, 1, hidden=6, init_seed=0)
         m = Forecaster(spec)
         rng = np.random.default_rng(8)
-        params = m.init_params()
-        blocks = [ForecastInstance(rng.normal(size=(5, 1)), rng.normal(size=(1, 1)))
+        params = m.init_params() + 0.1 * rng.normal(size=spec.n_params)
+        # large inputs push some gradient norms past Adam's clip of 1
+        blocks = [ForecastInstance(3 * rng.normal(size=(5, 1)), rng.normal(size=(1, 1)))
                   for _ in range(11)]
         ctx = [ForecastInstance(rng.normal(size=(5, 1)), rng.normal(size=(1, 1)))
                for _ in range(7)]
-        config = ValuationConfig(block_length=6, learning_rate=1e-3)
-        fast = score_blocks_batch(m, params, blocks, ctx, config, chunk=4)
+        config = ValuationConfig(block_length=6, learning_rate=1e-3,
+                                 optimizer_kind=optimizer_kind)
+        fast = score_blocks_batch(m, params, blocks, ctx, config)
         slow = [block_value(m, params, b, ctx, config) for b in blocks]
-        np.testing.assert_allclose(fast, slow, atol=1e-12)
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
 
 
 class TestAggregatePoints:
