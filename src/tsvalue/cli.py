@@ -20,7 +20,7 @@ from .config import RunConfig
 from .errors import ConfigError, DataError, NumericError, TsvalueError
 from .experiments import ablate_block_length, bench_scaling, cross_model_generalization
 from .forecaster import Forecaster, load_model, save_model, sliding_instances
-from .oracles import build_hessian, exact_influence, loo_linear_oracle, mc_shapley, rank_agreement
+from .oracles import build_hessian, loo_linear_oracle, mc_shapley, rank_agreement
 from .pipeline import fit_value_model, run_valuation
 from .reports import (
     write_ablation,
@@ -47,7 +47,7 @@ from .series import (
     split_holdout,
 )
 from .synthetic import generate, write_csv as write_series_csv
-from .valuation import block_to_instance, check_coverage, grad_inner_influence, score_blocks_batch
+from .valuation import block_to_instance, check_coverage, score_blocks_batch
 
 OUTPUT_DIR_ENV = "TSVALUE_OUT"
 
@@ -253,16 +253,17 @@ def _oracle_scores(method: str, cfg: RunConfig, model, params,
     oc = cfg.oracle_compare
     if method == "one_step":
         return score_blocks_batch(model, params, scored_insts, context_insts, vcfg).tolist()
-    if method == "grad_inner":
-        return [grad_inner_influence(model, params, inst, context_insts,
-                                     vcfg.learning_rate)
-                for inst in scored_insts]
-    if method == "exact_influence":
+    if method in ("grad_inner", "exact_influence"):
+        # grad_inner_influence / exact_influence for every block at once: one
+        # context gradient, one block-gradient matrix and at most one solve
+        g_ctx = model.batch_grad(params, context_insts).grad
+        g_blocks = model.grad_per_instance(params, scored_insts)
+        if method == "grad_inner":
+            return (vcfg.learning_rate * (g_blocks @ g_ctx)).tolist()
         # empirical-loss Hessian over the model's whole training window set
         mode = "analytic" if model.spec.architecture == "linear_ar" else "finite_diff"
         hess = build_hessian(model, params, train_insts, mode=mode)
-        return [exact_influence(model, params, inst, context_insts, hess)
-                for inst in scored_insts]
+        return (g_ctx @ hess.solve(g_blocks.T)).tolist()
     if method == "loo":
         if model.spec.architecture != "linear_ar":
             raise ConfigError("loo oracle needs the linear model")

@@ -16,6 +16,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .forecaster import ModelSpec
 from .pipeline import TrainSettings
+from .selection import STRATEGIES
 from .synthetic import SyntheticSpec
 from .valuation import ValuationConfig
 
@@ -91,10 +92,25 @@ def _valuation(raw: dict | None, seed: int) -> ValuationConfig:
     return ValuationConfig(seed=seed, **d)
 
 
+def _check_selection(section: str, strategies: tuple, ratios: tuple) -> None:
+    """Strategy names and selection ratios, checked before any work starts."""
+    if not isinstance(ratios, tuple):
+        raise ConfigError(f"{section}: ratios must be a list, got {ratios!r}")
+    unknown = [s for s in strategies if s not in STRATEGIES]
+    if unknown:
+        raise ConfigError(f"{section}: unknown strategy {unknown}; pick from {STRATEGIES}")
+    for r in ratios:
+        if not isinstance(r, (int, float)) or not 0.0 < r <= 1.0:
+            raise ConfigError(f"{section}: ratio must lie in (0, 1], got {r!r}")
+
+
 @dataclass(frozen=True)
 class SelectionConfig:
     strategies: tuple[str, ...] = ("top", "bottom", "random", "full")
     ratio: float = 0.5
+
+    def __post_init__(self):
+        _check_selection("selection", self.strategies, (self.ratio,))
 
 
 @dataclass(frozen=True)
@@ -126,6 +142,11 @@ class AblationConfig:
     ratio: float = 0.2
     strategies: tuple[str, ...] = ("top", "bottom", "random")
 
+    def __post_init__(self):
+        if not self.block_lengths:
+            raise ConfigError("ablation: block_lengths must not be empty")
+        _check_selection("ablation", self.strategies, (self.ratio,))
+
 
 @dataclass(frozen=True)
 class BenchConfig:
@@ -141,6 +162,9 @@ class BenchConfig:
 class GeneralizeConfig:
     ratios: tuple[float, ...] = (0.2,)
     strategies: tuple[str, ...] = ("top", "bottom", "random")
+
+    def __post_init__(self):
+        _check_selection("generalize", self.strategies, self.ratios)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg as sla
 
 from .forecaster import ForecastInstance, Forecaster, ModelSpec
 from .oracles import build_hessian
@@ -22,7 +21,7 @@ from .pipeline import (
 )
 from .selection import EvalReport, finetune_and_eval, select
 from .series import HoldoutSplit, TimeSeries
-from .valuation import ValuationConfig, score_blocks_batch
+from .valuation import ValuationConfig, check_coverage, score_blocks_batch
 
 
 @dataclass(frozen=True)
@@ -38,14 +37,18 @@ def ablate_block_length(series: TimeSeries, split: HoldoutSplit,
                         finetune: TrainSettings, ratio: float = 0.2,
                         strategies: tuple[str, ...] = ("top", "bottom", "random"),
                         seed: int = 0) -> list[AblationCell]:
-    """Full valuation + selection + evaluation for each block length."""
-    if max(block_lengths) > split.target_end:
-        raise ValueError("largest block length exceeds the target split")
+    """Full valuation + selection + evaluation for each block length.
+
+    Every length is checked (model spec and sample coverage) before the
+    first model is fitted, so a bad grid fails with its typed error at once.
+    """
     target = series.slice(0, split.target_end)
+    configs = [replace(config, block_length=length, seed=seed) for length in block_lengths]
+    specs = [spec_for_block_length(model_template, length) for length in block_lengths]
+    for cfg in configs:
+        check_coverage(target.length, cfg)
     cells = []
-    for length in block_lengths:
-        cfg = replace(config, block_length=length, seed=seed)
-        spec = spec_for_block_length(model_template, length)
+    for length, cfg, spec in zip(block_lengths, configs, specs):
         model, params = fit_value_model(target, spec, pretrain, seed)
         run = run_valuation(target, cfg, model, params)
         for strategy in strategies:
@@ -179,7 +182,7 @@ def bench_scaling(p_list: list[int], methods: tuple[str, ...] = ("one_step", "ex
                 # pipeline would do at scale.
                 hess = build_hessian(model, params, context, mode="finite_diff",
                                      damping=1.0)
-                h_inv = sla.cho_solve(hess.cho, np.eye(spec.n_params))
+                h_inv = hess.solve(np.eye(spec.n_params))
                 g_blocks = model.grad_per_instance(params, blocks)
                 g_ctx = model.batch_grad(params, context).grad
                 return g_ctx @ (h_inv @ g_blocks.T)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import stats as sstats
 
 from .errors import (
     EmptyBatch,
@@ -46,6 +44,8 @@ class HessianMatrix:
     cho: tuple
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        from scipy import linalg as sla  # outside the try: an ImportError is not singularity
+
         try:
             return sla.cho_solve(self.cho, rhs)
         except Exception as exc:  # pragma: no cover - factor already validated
@@ -67,6 +67,8 @@ def build_hessian(model: Forecaster, params: np.ndarray,
     central differences of the batch gradient (step 1e-5) and works for any
     architecture. The result is symmetrized, then damped.
     """
+    from scipy import linalg as sla
+
     if not instances:
         raise EmptyBatch("build_hessian needs at least one instance")
     p = model.spec.n_params
@@ -132,6 +134,8 @@ def loo_linear_oracle(design: np.ndarray, targets: np.ndarray, ridge: float,
     The context defaults to the training rows themselves. Positive means the
     removed point was helping the context.
     """
+    from scipy import linalg as sla
+
     x = np.asarray(design, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if y.ndim == 1:
@@ -270,17 +274,43 @@ def mc_shapley(n_blocks: int, utility: Callable[[tuple[int, ...]], float],
                            n_permutations=n_permutations, mode="mc")
 
 
+def average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks; each tie group gets the mean of its positions (scipy's "average").
+
+    Any nan makes every rank nan, as ``scipy.stats.rankdata`` does by default.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    stops = np.r_[starts[1:], x.size]
+    group_rank = (starts + 1 + stops) / 2.0  # mean of positions starts+1 .. stops
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(group_rank, stops - starts)
+    return ranks
+
+
 def rank_agreement(scores_a: Sequence[float], scores_b: Sequence[float],
                    method: str = "spearman") -> float:
-    """Spearman rank correlation (average-rank ties) or sign-match fraction."""
+    """Spearman rank correlation (average-rank ties) or sign-match fraction.
+
+    Spearman is the Pearson correlation of the :func:`average_ranks`; it is
+    nan when either vector is constant, as ``scipy.stats.spearmanr`` gives.
+    """
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 3:
         raise LengthMismatch(f"need two equal-length vectors of >= 3 scores, "
                              f"got {a.shape} and {b.shape}")
     if method == "spearman":
-        rho = sstats.spearmanr(a, b).statistic
-        return float(rho)
+        ra = average_ranks(a) - (a.size + 1) / 2.0
+        rb = average_ranks(b) - (b.size + 1) / 2.0
+        denom = math.sqrt(float(ra @ ra) * float(rb @ rb))
+        if denom == 0.0:  # a constant vector has no rank order: nan, as scipy gives
+            return math.nan
+        return float(np.clip((ra @ rb) / denom, -1.0, 1.0))
     if method == "sign_match":
         return float(np.mean(np.sign(a) == np.sign(b)))
     raise ValueError(f"unknown rank agreement method {method!r}")

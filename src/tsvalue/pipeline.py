@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ConfigError
 from .forecaster import (
     Forecaster,
     ModelSpec,
@@ -60,7 +61,7 @@ def spec_for_block_length(template: ModelSpec, block_length: int) -> ModelSpec:
     """Derive the lookback so one block splits into (lookback -> horizon)."""
     lookback = block_length - template.horizon
     if lookback < 1:
-        raise ValueError(f"block length {block_length} too short for horizon {template.horizon}")
+        raise ConfigError(f"block length {block_length} too short for horizon {template.horizon}")
     return replace(template, lookback=lookback)
 
 

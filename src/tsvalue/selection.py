@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from .errors import (
     AllOneClass,
@@ -23,6 +22,7 @@ from .errors import (
     TestRangeTooShort,
 )
 from .forecaster import Forecaster, ModelSpec, sliding_instances, train
+from .oracles import average_ranks
 from .pipeline import TrainSettings
 from .series import Block, HoldoutSplit, SampleWindow, TimeSeries
 from .valuation import BlockScore, SampleScores
@@ -213,5 +213,5 @@ def detection_auroc(scores: list[BlockScore] | np.ndarray, labels: np.ndarray) -
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise AllOneClass("need both corrupted and clean blocks to compute AUROC")
-    ranks = sstats.rankdata(-values)  # high rank = low score = flagged corrupted
+    ranks = average_ranks(-values)  # high rank = low score = flagged corrupted
     return float((ranks[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))

@@ -1,10 +1,22 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tsvalue.cli import main
+from tsvalue import experiments
+from tsvalue.cli import _oracle_scores, main
 from tsvalue.config import RunConfig
 from tsvalue.errors import ConfigError
+from tsvalue.experiments import _bench_instances
+from tsvalue.forecaster import Forecaster, ModelSpec
+from tsvalue.oracles import build_hessian, exact_influence
+from tsvalue.valuation import grad_inner_influence
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, overrides=None, name="cfg.json"):
@@ -76,6 +88,27 @@ class TestConfig:
         assert len(err) == 1 and err[0].startswith("tsvalue: exit=1 kind=")
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("select-eval", "selection", "ratio", 0),
+        ("select-eval", "selection", "ratio", 1.5),
+        ("select-eval", "selection", "strategies", ["top", "best"]),
+        ("ablate", "ablation", "ratio", -0.2),
+        ("ablate", "ablation", "strategies", ["worst"]),
+        ("generalize", "generalize", "ratios", [0.2, 0]),
+        ("generalize", "generalize", "strategies", ["top", "middle"]),
+        ("generalize", "generalize", "ratios", 0.2),
+        ("ablate", "ablation", "block_lengths", []),
+    ])
+    def test_bad_experiment_setting_exits_1_at_load(self, tmp_path, capsys,
+                                                     command, section, key, value):
+        path = write_config(tmp_path, {section: {key: value}})
+        assert main([command, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("tsvalue: exit=1 kind=ConfigError")
+        assert captured.out == ""
+        assert not (tmp_path / "out" / "value_model.json").exists()
 
 
 class TestSynth:
@@ -256,6 +289,30 @@ class TestOracleCompare:
             for b in doc["methods"]:
                 assert -1.0 <= doc["spearman"][a][b] <= 1.0
 
+    @pytest.mark.parametrize("architecture, hidden", [("linear_ar", 0), ("mlp", 5)])
+    def test_batched_gradient_oracles_match_per_block_references(self, architecture,
+                                                                 hidden):
+        cfg = RunConfig.from_dict({"dataset": {"synthetic": {}},
+                                   "valuation": {"learning_rate": 0.05}})
+        model = Forecaster(ModelSpec(architecture, lookback=6, horizon=2, channels=2,
+                                     hidden=hidden))
+        rng = np.random.default_rng(0)
+        params = 0.3 * rng.normal(size=model.spec.n_params)
+        train, scored, context = (_bench_instances(model, params, n, rng, jitter=0.01)
+                                  for n in (200, 9, 7))
+        mode = "analytic" if architecture == "linear_ar" else "finite_diff"
+        hess = build_hessian(model, params, train, mode=mode)
+        references = {
+            "grad_inner": [grad_inner_influence(model, params, z, context, 0.05)
+                           for z in scored],
+            "exact_influence": [exact_influence(model, params, z, context, hess)
+                                for z in scored],
+        }
+        for method, ref in references.items():
+            got = _oracle_scores(method, cfg, model, params, scored, context, train)
+            ref = np.asarray(ref)
+            assert np.max(np.abs(np.asarray(got) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
 
 class TestOtherCommands:
     def test_ablate_table_shape(self, tmp_path):
@@ -267,6 +324,23 @@ class TestOtherCommands:
         header = table[1].split(",")
         assert header == ["strategy", "mse@L16", "mae@L16", "mse@L20", "mae@L20"]
         assert [r.split(",")[0] for r in table[2:]] == ["top", "bottom"]
+
+    @pytest.mark.parametrize("block_lengths, stride, code, kind", [
+        ([20, 2], 4, 1, "ConfigError"),            # L=2 leaves no lookback for horizon 2
+        ([16, 20], 40, 2, "WhollyUnscoredSample"),  # stride 40 skips whole 16-step samples
+    ])
+    def test_bad_ablation_length_fails_before_any_fit(self, tmp_path, capsys, monkeypatch,
+                                                      block_lengths, stride, code, kind):
+        fits = []
+        monkeypatch.setattr(experiments, "fit_value_model",
+                            lambda *args, **kw: fits.append(args))
+        path = write_config(tmp_path, {
+            "valuation": {"stride": stride},
+            "ablation": {"block_lengths": block_lengths, "strategies": ["top"]}})
+        assert main(["ablate", "--config", str(path)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"tsvalue: exit={code} kind={kind}")
+        assert fits == []
 
     def test_generalize_rows(self, tmp_path):
         path = write_config(tmp_path, {
@@ -300,3 +374,26 @@ class TestOtherCommands:
         monkeypatch.setenv("TSVALUE_OUT", str(env_out))
         assert main(["synth", "--config", str(path)]) == 0
         assert (env_out / "dataset.csv").exists()
+
+
+class TestColdStart:
+    """The CLI imports no scipy; only the oracle and bench factorisations load scipy.linalg."""
+
+    @staticmethod
+    def scipy_modules_after(code: str) -> list[str]:
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-c", code + "\nimport json, sys\n"
+             "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"],
+            env=env, capture_output=True, text=True, check=True)
+        return json.loads(out.stdout.splitlines()[-1])
+
+    def test_import_loads_no_scipy(self):
+        assert self.scipy_modules_after("import tsvalue.cli") == []
+
+    def test_value_run_loads_no_scipy(self, tmp_path):
+        # value factorises nothing, so neither scipy.stats nor scipy.linalg loads
+        path = write_config(tmp_path)
+        assert self.scipy_modules_after(
+            "from tsvalue.cli import main\n"
+            f"assert main(['value', '--config', {str(path)!r}]) == 0") == []

@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats as sstats
 
 from tsvalue import errors
 from tsvalue.forecaster import ForecastInstance, Forecaster, ModelSpec, OptimizerConfig
 from tsvalue.oracles import (
+    average_ranks,
     brute_force_retrain,
     build_hessian,
     exact_influence,
@@ -11,6 +17,7 @@ from tsvalue.oracles import (
     mc_shapley,
     rank_agreement,
 )
+from tsvalue.selection import detection_auroc
 
 
 def scalar_model():
@@ -294,3 +301,41 @@ class TestRankAgreement:
             rank_agreement([1, 2, 3], [1, 2])
         with pytest.raises(errors.LengthMismatch):
             rank_agreement([1, 2], [1, 2])
+
+
+tie_heavy = st.integers(3, 200).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 4), min_size=n, max_size=n),
+    st.lists(st.integers(0, 4), min_size=n, max_size=n),
+    st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+class TestAverageRanks:
+    """The numpy rank helper against scipy.stats, which it replaces."""
+
+    @given(tie_heavy)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy_on_ties(self, data):
+        a, b, flags = (np.asarray(v, dtype=np.float64) for v in data)
+        assert np.array_equal(average_ranks(a), sstats.rankdata(a))
+        if np.ptp(a) > 0 and np.ptp(b) > 0:
+            assert abs(rank_agreement(a, b) - sstats.spearmanr(a, b).statistic) <= 1e-12
+        else:
+            assert math.isnan(rank_agreement(a, b))
+        labels = flags.astype(bool)
+        n_pos = int(labels.sum())
+        if 0 < n_pos < labels.size:
+            ranks = sstats.rankdata(-a)
+            ref = float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0)
+                        / (n_pos * (labels.size - n_pos)))
+            assert detection_auroc(a, labels) == ref
+
+    def test_constant_vector_gives_nan_like_scipy(self):
+        # no rank order to correlate: nan, with no warning and no error
+        assert math.isnan(rank_agreement([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
+        assert np.array_equal(average_ranks([2.0, 2.0, 2.0]), [2.0, 2.0, 2.0])
+
+    def test_nan_propagates_like_scipy(self):
+        x = [1.0, np.nan, 0.0]
+        assert np.array_equal(average_ranks(x), sstats.rankdata(x), equal_nan=True)
+        assert np.isnan(average_ranks(x)).all()
+        assert math.isnan(rank_agreement(x, [1.0, 2.0, 3.0]))
