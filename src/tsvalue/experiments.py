@@ -7,7 +7,9 @@ key; the CLI serializes the grids to CSV and JSON.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -152,16 +154,18 @@ def _bench_instances(model: Forecaster, params: np.ndarray, n: int,
 def bench_scaling(p_list: list[int], methods: tuple[str, ...] = ("one_step", "exact_influence"),
                   n_blocks: int = 256, repeats: int = 3, n_context: int = 64,
                   seed: int = 0, exact_limit: int = 3000) -> BenchReport:
-    """Median wall time per method per model size, plus log-log slopes.
+    """Wall time per method per model size, plus log-log slopes.
 
     Both methods run vectorized kernels so the measured time reflects the
     arithmetic each algorithm performs, not per-block interpreter overhead.
     ``exact_influence`` rows are skipped above ``exact_limit`` parameters
-    (the dense build is quadratic; the hard guard sits at 5000).
+    (the dense build is quadratic; the hard guard sits at 5000). Timing is
+    taken as ``_time_interleaved`` describes, and each slope is fitted to
+    the fastest repeat of every size: host noise only ever adds time.
     """
     rng = np.random.default_rng(seed)
-    rows: list[BenchRow] = []
     config = ValuationConfig(block_length=32, learning_rate=1e-4)
+    cases = []  # (method, p_target, p_actual, call)
     for p_target in sorted(p_list):
         spec = mlp_spec_for_params(p_target, init_seed=seed)
         model = Forecaster(spec)
@@ -169,40 +173,100 @@ def bench_scaling(p_list: list[int], methods: tuple[str, ...] = ("one_step", "ex
         blocks = _bench_instances(model, params, n_blocks, rng)
         context = _bench_instances(model, params, n_context, rng)
         if "one_step" in methods:
-            times = _time_repeats(
-                lambda: score_blocks_batch(model, params, blocks, context, config),
-                repeats)
-            rows.append(BenchRow("one_step", p_target, spec.n_params, times))
+            cases.append(("one_step", p_target, spec.n_params,
+                          partial(score_blocks_batch, model, params, blocks, context, config)))
         if "exact_influence" in methods and spec.n_params <= exact_limit:
-            def run_exact():
-                # unit damping: cost is what matters here, and an untrained
-                # network's Hessian can dip below the trace-based default.
-                # The inverse is materialized once so its cost amortizes over
-                # arbitrarily many scored blocks, as a dense influence
-                # pipeline would do at scale.
-                hess = build_hessian(model, params, context, mode="finite_diff",
-                                     damping=1.0)
-                h_inv = hess.solve(np.eye(spec.n_params))
-                g_blocks = model.grad_per_instance(params, blocks)
-                g_ctx = model.batch_grad(params, context).grad
-                return g_ctx @ (h_inv @ g_blocks.T)
-            rows.append(BenchRow("exact_influence", p_target, spec.n_params,
-                                 _time_repeats(run_exact, repeats)))
+            cases.append(("exact_influence", p_target, spec.n_params,
+                          partial(_dense_influence, model, params, blocks, context)))
+    times = _time_interleaved([call for *_, call in cases], repeats)
+    rows = [BenchRow(method, p_target, p_actual, t)
+            for (method, p_target, p_actual, _), t in zip(cases, times)]
     slopes = {}
     for method in methods:
         sub = [r for r in rows if r.method == method]
         if len(sub) >= 2:
             logs_p = np.log([r.p_actual for r in sub])
-            logs_t = np.log([r.median_seconds for r in sub])
+            logs_t = np.log([min(r.times) for r in sub])
             slopes[method] = float(np.polyfit(logs_p, logs_t, 1)[0])
     return BenchReport(rows=rows, slopes=slopes)
 
 
-def _time_repeats(fn, repeats: int) -> tuple[float, ...]:
-    fn()  # warm-up
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return tuple(times)
+def _dense_influence(model: Forecaster, params: np.ndarray,
+                     blocks: list[ForecastInstance],
+                     context: list[ForecastInstance]) -> np.ndarray:
+    # unit damping: cost is what matters here, and an untrained network's
+    # Hessian can dip below the trace-based default. The inverse is
+    # materialized once so its cost amortizes over arbitrarily many scored
+    # blocks, as a dense influence pipeline would do at scale.
+    hess = build_hessian(model, params, context, mode="finite_diff", damping=1.0)
+    h_inv = hess.solve(np.eye(model.spec.n_params))
+    g_blocks = model.grad_per_instance(params, blocks)
+    g_ctx = model.batch_grad(params, context).grad
+    return g_ctx @ (h_inv @ g_blocks.T)
+
+
+def _time_interleaved(calls: list, repeats: int) -> list[tuple[float, ...]]:
+    """``repeats`` wall times per call, taken in rounds over all the calls.
+
+    One warm-up round first (it also loads any lazily imported BLAS). The
+    timed rounds run with every OpenBLAS limited to one thread, so the
+    times follow each method's arithmetic: on a two-core host a second
+    thread sped up the largest sizes and slowed down the smallest.
+    Rounds put a slow stretch of a shared host on every size at once
+    rather than on all the repeats of one size.
+    """
+    for call in calls:
+        call()
+    times = [[] for _ in calls]
+    with _single_threaded_blas():
+        for _ in range(repeats):
+            for call, out in zip(calls, times):
+                start = time.perf_counter()
+                call()
+                out.append(time.perf_counter() - start)
+    return [tuple(t) for t in times]
+
+
+# (get, set) thread-count entry points of OpenBLAS builds: plain, and the
+# renamed scipy-openblas builds that numpy and scipy wheels bundle.
+_OPENBLAS_THREAD_CALLS = [(f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+                          for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
+
+
+def _openblas_thread_controls() -> list:
+    """(get, set) thread-count functions of every OpenBLAS in this process.
+
+    Libraries are found in ``/proc/self/maps``; where that file or an
+    OpenBLAS is absent (another OS or BLAS) the list is empty.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, set_ in _OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                controls.append((getattr(lib, get), getattr(lib, set_)))
+                break
+    return controls
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Limit every loaded OpenBLAS to one thread, then restore its count."""
+    saved = [(get(), set_threads) for get, set_threads in _openblas_thread_controls()]
+    for _, set_threads in saved:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for n, set_threads in saved:
+            set_threads(n)

@@ -3,6 +3,8 @@ import pytest
 
 from tsvalue import errors
 from tsvalue.experiments import (
+    _openblas_thread_controls,
+    _single_threaded_blas,
     ablate_block_length,
     bench_scaling,
     cross_model_generalization,
@@ -328,6 +330,15 @@ class TestExperimentHarnesses:
                                n_blocks=8, repeats=1, n_context=8, seed=0,
                                exact_limit=500)
         assert [r.p_target for r in report.rows] == [300]
+
+    def test_bench_timing_pins_blas_to_one_thread_and_restores(self):
+        controls = _openblas_thread_controls()
+        if "openblas" in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]:
+            assert controls  # numpy's own OpenBLAS is found
+        before = [get() for get, _ in controls]
+        with _single_threaded_blas():
+            assert [get() for get, _ in controls] == [1] * len(controls)
+        assert [get() for get, _ in controls] == before
 
     def test_mlp_spec_for_params_accuracy(self):
         for target in (300, 3000, 30000):
