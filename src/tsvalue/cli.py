@@ -264,9 +264,7 @@ def _oracle_scores(method: str, cfg: RunConfig, model, params,
         mode = "analytic" if model.spec.architecture == "linear_ar" else "finite_diff"
         hess = build_hessian(model, params, train_insts, mode=mode)
         return (g_ctx @ hess.solve(g_blocks.T)).tolist()
-    if method == "loo":
-        if model.spec.architecture != "linear_ar":
-            raise ConfigError("loo oracle needs the linear model")
+    if method == "loo":  # the config admits it only for the linear model
         # the loo oracle refits a ridge system over the scored instances
         x, y = model.design_matrix(scored_insts)
         x_ctx, y_ctx = model.design_matrix(context_insts)

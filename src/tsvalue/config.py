@@ -1,8 +1,9 @@
 """Run configuration: JSON file -> validated dataclasses, with a stable hash.
 
-Every section rejects unknown keys so typos fail loudly. The config hash
-covers the fully-defaulted normalized document, and every output file
-embeds it alongside the tool version.
+Each section is a dataclass whose fields give its keys, types and defaults
+and whose ``__post_init__`` checks its ranges, so a bad setting fails at
+load. The config hash covers the fully-defaulted normalized document, and
+every output file embeds it alongside the tool version.
 """
 
 from __future__ import annotations
@@ -10,26 +11,67 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, require, require_at_least
+from .experiments import BENCH_METHODS
 from .forecaster import ModelSpec
-from .pipeline import TrainSettings
-from .selection import STRATEGIES
+from .oracles import SHAPLEY_MODES
+from .pipeline import TrainSettings, spec_for_block_length
+from .selection import CORRUPTION_KINDS, STRATEGIES
 from .synthetic import SyntheticSpec
 from .valuation import ValuationConfig
 
+ORACLE_METHODS = ("one_step", "grad_inner", "exact_influence", "loo", "shapley")
+# a float field keeps a JSON integer unconverted: converting it would change config hashes
+_JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str}
 
-def _section(raw: dict | None, allowed: dict, name: str) -> dict:
-    """Merge a raw dict over defaults, rejecting unknown keys."""
-    raw = {} if raw is None else dict(raw)
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in config section {name!r}")
-    merged = dict(allowed)
-    merged.update(raw)
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in merged.items()}
+
+def _load(cls, raw, name: str, base=None):
+    """Build the dataclass ``cls`` (over ``base``, if given) from the JSON object ``raw``.
+
+    The keys, types and defaults are ``cls``'s fields, except those whose
+    metadata says ``in_file: False``; the range checks are its ``__post_init__``.
+    """
+    where = f"config section {name or 'top level'!r}"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    known = {f.name: f for f in fields(cls) if f.metadata.get("in_file", True)}
+    unknown = set(raw) - set(known)
+    require(not unknown, f"unknown key(s) {sorted(unknown)} in {where}")
+    missing = [k for k, f in known.items()
+               if k not in raw and f.default is MISSING and f.default_factory is MISSING]
+    require(not missing, f"{where} needs key(s) {missing}")
+    hints = typing.get_type_hints(cls)
+    values = {k: _value(v, hints[k], f"{name}.{k}" if name else k, known[k].default_factory)
+              for k, v in raw.items()}
+    try:
+        return cls(**values) if base is None else replace(base, **values)
+    except ConfigError as exc:
+        raise type(exc)(f"{name}: {exc}" if name else str(exc)) from None
+
+
+def _value(value, typ, name: str, factory=MISSING):
+    """``value`` checked against ``typ``; a list becomes a tuple, a section loads over factory()."""
+    args = typing.get_args(typ)
+    if type(None) in args:  # X | None, always written in that order
+        return None if value is None else _value(value, args[0], name)
+    if is_dataclass(typ):
+        return _load(typ, value, name, None if factory is MISSING else factory())
+    is_tuple = typing.get_origin(typ) is tuple
+    if is_tuple and isinstance(value, list):
+        return tuple(_value(v, args[0], f"{name}[{i}]") for i, v in enumerate(value))
+    # bool is an int to Python, never to a config file
+    if isinstance(value, _JSON_TYPES.get(typ, ())) and (typ is bool) == isinstance(value, bool):
+        return value
+    raise ConfigError(f"{name} must be {'a list' if is_tuple else typ.__name__}, got {value!r}")
+
+
+def _known(what: str, names: tuple[str, ...], allowed: tuple[str, ...]) -> None:
+    unknown = [n for n in names if n not in allowed]
+    require(not unknown, f"unknown {what} {', '.join(map(repr, unknown))}; pick from {allowed}")
 
 
 @dataclass(frozen=True)
@@ -37,19 +79,9 @@ class DatasetConfig:
     path: str | None = None
     synthetic: SyntheticSpec | None = None
 
-    @classmethod
-    def from_dict(cls, raw: dict | None) -> "DatasetConfig":
-        d = _section(raw, {"path": None, "synthetic": None}, "dataset")
-        synth = d["synthetic"]
-        if synth is not None:
-            synth = SyntheticSpec(**_section(
-                synth,
-                {"generator": "sine_mix", "length": 800, "channels": 1,
-                 "noise_std": 0.1, "ar_coeffs": (0.6, -0.2), "seed": 0},
-                "dataset.synthetic"))
-        if (d["path"] is None) == (synth is None):
-            raise ConfigError("dataset needs exactly one of 'path' or 'synthetic'")
-        return cls(path=d["path"], synthetic=synth)
+    def __post_init__(self):
+        require((self.path is None) != (self.synthetic is None),
+                "needs exactly one of 'path' or 'synthetic'")
 
 
 @dataclass(frozen=True)
@@ -60,48 +92,20 @@ class ModelConfig:
     init_seed: int = 0
     checkpoint: str | None = None  # load instead of training
 
-    @classmethod
-    def from_dict(cls, raw: dict | None, name: str = "model") -> "ModelConfig":
-        d = _section(raw, {"architecture": "linear_ar", "horizon": 1, "hidden": 0,
-                           "init_seed": 0, "checkpoint": None}, name)
-        return cls(**d)
+    def __post_init__(self):
+        self.spec(self.horizon + 1, channels=1)  # ModelSpec's own checks, before any data
 
     def spec(self, block_length: int, channels: int) -> ModelSpec:
         """Lookback is derived so one block splits into (lookback -> horizon)."""
-        lookback = block_length - self.horizon
-        if lookback < 1:
-            raise ConfigError(
-                f"block length {block_length} leaves no lookback for horizon {self.horizon}"
-            )
-        return ModelSpec(architecture=self.architecture, lookback=lookback,
-                         horizon=self.horizon, channels=channels,
-                         hidden=self.hidden, init_seed=self.init_seed)
+        return spec_for_block_length(ModelSpec(
+            self.architecture, lookback=1, horizon=self.horizon, channels=channels,
+            hidden=self.hidden, init_seed=self.init_seed), block_length)
 
 
-def _train_settings(raw: dict | None, name: str, **overrides) -> TrainSettings:
-    defaults = {"epochs": 30, "batch_size": 16, "optimizer_kind": "adam",
-                "learning_rate": 0.01, "instance_stride": 1}
-    defaults.update(overrides)
-    return TrainSettings(**_section(raw, defaults, name))
-
-
-def _valuation(raw: dict | None, seed: int) -> ValuationConfig:
-    d = _section(raw, {"block_length": 100, "stride": 1, "learning_rate": 1e-5,
-                       "optimizer_kind": "sgd", "k_folds": 5, "context_cap": None,
-                       "sample_length": None}, "valuation")
-    return ValuationConfig(seed=seed, **d)
-
-
-def _check_selection(section: str, strategies: tuple, ratios: tuple) -> None:
-    """Strategy names and selection ratios, checked before any work starts."""
-    if not isinstance(ratios, tuple):
-        raise ConfigError(f"{section}: ratios must be a list, got {ratios!r}")
-    unknown = [s for s in strategies if s not in STRATEGIES]
-    if unknown:
-        raise ConfigError(f"{section}: unknown strategy {unknown}; pick from {STRATEGIES}")
+def _check_selection(strategies: tuple[str, ...], ratios: tuple[float, ...]) -> None:
+    _known("strategy", strategies, STRATEGIES)
     for r in ratios:
-        if not isinstance(r, (int, float)) or not 0.0 < r <= 1.0:
-            raise ConfigError(f"{section}: ratio must lie in (0, 1], got {r!r}")
+        require(0.0 < r <= 1.0, f"ratio must lie in (0, 1], got {r!r}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,7 @@ class SelectionConfig:
     ratio: float = 0.5
 
     def __post_init__(self):
-        _check_selection("selection", self.strategies, (self.ratio,))
+        _check_selection(self.strategies, (self.ratio,))
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,12 @@ class CorruptionConfig:
     kind: str = "gaussian_burst"
     magnitude: float = 0.3
     seed: int = 0
+
+    def __post_init__(self):
+        _known("kind", (self.kind,), CORRUPTION_KINDS)
+        require(0.0 <= self.fraction < 1.0, f"fraction must lie in [0, 1), got {self.fraction!r}")
+        require(self.kind != "gaussian_burst" or self.magnitude >= 0,
+                "gaussian_burst magnitude (a noise std) must be >= 0")
 
     @property
     def active(self) -> bool:
@@ -135,6 +145,12 @@ class OracleCompareConfig:
     shapley_permutations: int = 50
     shapley_epochs: int = 3
 
+    def __post_init__(self):
+        _known("method", self.methods, ORACLE_METHODS)
+        _known("shapley_mode", (self.shapley_mode,), SHAPLEY_MODES)
+        require_at_least(self, 1, "max_blocks", "stride", "context_cap", "shapley_permutations")
+        require_at_least(self, 0, "shapley_epochs")
+
 
 @dataclass(frozen=True)
 class AblationConfig:
@@ -143,19 +159,22 @@ class AblationConfig:
     strategies: tuple[str, ...] = ("top", "bottom", "random")
 
     def __post_init__(self):
-        if not self.block_lengths:
-            raise ConfigError("ablation: block_lengths must not be empty")
-        _check_selection("ablation", self.strategies, (self.ratio,))
+        require(bool(self.block_lengths), "block_lengths must not be empty")
+        _check_selection(self.strategies, (self.ratio,))
 
 
 @dataclass(frozen=True)
 class BenchConfig:
     p_list: tuple[int, ...] = (300, 1000, 3000, 10000, 30000)
-    methods: tuple[str, ...] = ("one_step", "exact_influence")
+    methods: tuple[str, ...] = BENCH_METHODS
     n_blocks: int = 256
     n_context: int = 64
     repeats: int = 3
     exact_limit: int = 3000
+
+    def __post_init__(self):
+        _known("method", self.methods, BENCH_METHODS)
+        require_at_least(self, 1, "n_blocks", "n_context", "repeats")
 
 
 @dataclass(frozen=True)
@@ -164,82 +183,46 @@ class GeneralizeConfig:
     strategies: tuple[str, ...] = ("top", "bottom", "random")
 
     def __post_init__(self):
-        _check_selection("generalize", self.strategies, self.ratios)
+        _check_selection(self.strategies, self.ratios)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     dataset: DatasetConfig
-    test_fraction: float
-    normalize: bool
-    valuation: ValuationConfig
-    model: ModelConfig
-    downstream_model: ModelConfig
-    pretrain: TrainSettings
-    finetune: TrainSettings
-    selection: SelectionConfig
-    corruption: CorruptionConfig
-    oracle_compare: OracleCompareConfig
-    ablation: AblationConfig
-    bench: BenchConfig
-    generalize: GeneralizeConfig
-    seed: int
-    output_dir: str
+    test_fraction: float = 0.3
+    normalize: bool = True
+    valuation: ValuationConfig = field(default_factory=ValuationConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    downstream_model: ModelConfig = field(default_factory=ModelConfig)
+    pretrain: TrainSettings = field(default_factory=TrainSettings)
+    finetune: TrainSettings = field(default_factory=lambda: TrainSettings(epochs=10))
+    selection: SelectionConfig = field(default_factory=SelectionConfig)
+    corruption: CorruptionConfig = field(default_factory=CorruptionConfig)
+    oracle_compare: OracleCompareConfig = field(default_factory=OracleCompareConfig)
+    ablation: AblationConfig = field(default_factory=AblationConfig)
+    bench: BenchConfig = field(default_factory=BenchConfig)
+    generalize: GeneralizeConfig = field(default_factory=GeneralizeConfig)
+    seed: int = 0
+    output_dir: str = "out"
+
+    def __post_init__(self):
+        require(0.0 < self.test_fraction < 1.0,
+                f"test_fraction must lie in (0, 1), got {self.test_fraction!r}")
+        for model in (self.model, self.downstream_model):
+            model.spec(self.valuation.block_length, channels=1)
+        require(self.model.architecture == "linear_ar" or "loo" not in self.oracle_compare.methods,
+                "oracle_compare: the loo oracle needs the linear_ar model")
+        object.__setattr__(self, "valuation", replace(self.valuation, seed=self.seed))
 
     @classmethod
     def from_dict(cls, raw: dict, seed: int | None = None,
                   output_dir: str | None = None) -> "RunConfig":
-        if "workers" in raw:  # went with the scoring thread pool; ignored and not hashed
+        if isinstance(raw, dict) and "workers" in raw:
+            # went with the scoring thread pool; ignored and not hashed
             print("tsvalue: warning: config key 'workers' is deprecated; ignored", file=sys.stderr)
             raw = {k: v for k, v in raw.items() if k != "workers"}
-        top = _section(raw, {
-            "dataset": None, "test_fraction": 0.3, "normalize": True,
-            "valuation": None, "model": None, "downstream_model": None,
-            "pretrain": None, "finetune": None, "selection": None,
-            "corruption": None, "oracle_compare": None, "ablation": None,
-            "bench": None, "generalize": None, "seed": 0, "output_dir": "out",
-        }, "top level")
-        the_seed = top["seed"] if seed is None else seed
-        cfg = cls(
-            dataset=DatasetConfig.from_dict(top["dataset"]),
-            test_fraction=float(top["test_fraction"]),
-            normalize=bool(top["normalize"]),
-            valuation=_valuation(top["valuation"], the_seed),
-            model=ModelConfig.from_dict(top["model"], "model"),
-            downstream_model=ModelConfig.from_dict(
-                top["downstream_model"], "downstream_model"),
-            pretrain=_train_settings(top["pretrain"], "pretrain"),
-            finetune=_train_settings(top["finetune"], "finetune", epochs=10),
-            selection=SelectionConfig(**_section(
-                top["selection"], {"strategies": ("top", "bottom", "random", "full"),
-                                   "ratio": 0.5}, "selection")),
-            corruption=CorruptionConfig(**_section(
-                top["corruption"], {"fraction": 0.0, "kind": "gaussian_burst",
-                                    "magnitude": 0.3, "seed": 0}, "corruption")),
-            oracle_compare=OracleCompareConfig(**_section(
-                top["oracle_compare"],
-                {"methods": ("one_step", "grad_inner", "exact_influence"),
-                 "max_blocks": 50, "stride": None, "context_cap": 50,
-                 "shapley_mode": "mc", "shapley_permutations": 50,
-                 "shapley_epochs": 3}, "oracle_compare")),
-            ablation=AblationConfig(**_section(
-                top["ablation"], {"block_lengths": (50, 75, 100, 125),
-                                  "ratio": 0.2,
-                                  "strategies": ("top", "bottom", "random")},
-                "ablation")),
-            bench=BenchConfig(**_section(
-                top["bench"], {"p_list": (300, 1000, 3000, 10000, 30000),
-                               "methods": ("one_step", "exact_influence"),
-                               "n_blocks": 256, "n_context": 64, "repeats": 3,
-                               "exact_limit": 3000}, "bench")),
-            generalize=GeneralizeConfig(**_section(
-                top["generalize"], {"ratios": (0.2,),
-                                    "strategies": ("top", "bottom", "random")},
-                "generalize")),
-            seed=the_seed,
-            output_dir=top["output_dir"] if output_dir is None else output_dir,
-        )
-        return cfg
+        overrides = {k: v for k, v in (("seed", seed), ("output_dir", output_dir)) if v is not None}
+        return replace(_load(cls, raw, ""), **overrides)
 
     @classmethod
     def load(cls, path: str | Path, **overrides) -> "RunConfig":
@@ -249,8 +232,6 @@ class RunConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
         return cls.from_dict(raw, **overrides)
 
     def normalized(self) -> dict:

@@ -22,6 +22,19 @@ class NumericError(TsvalueError):
     """Numerical failure: non-finite values, singular or indefinite systems."""
 
 
+def require(ok: bool, message: str, kind: type[ConfigError] = ConfigError) -> None:
+    """Raise kind(message) unless ok: the one-line form of a settings check."""
+    if not ok:
+        raise kind(message)
+
+
+def require_at_least(section, low: int, *names: str) -> None:
+    """Each named field of the dataclass ``section`` is None or at least ``low``."""
+    for name in names:
+        value = getattr(section, name)
+        require(value is None or value >= low, f"{name} must be >= {low}, got {value!r}")
+
+
 # --- ingestion ---
 
 class MissingFile(DataError):

@@ -25,6 +25,8 @@ from .selection import EvalReport, finetune_and_eval, select
 from .series import HoldoutSplit, TimeSeries
 from .valuation import ValuationConfig, check_coverage, score_blocks_batch
 
+BENCH_METHODS = ("one_step", "exact_influence")
+
 
 @dataclass(frozen=True)
 class AblationCell:
@@ -151,7 +153,7 @@ def _bench_instances(model: Forecaster, params: np.ndarray, n: int,
     return out
 
 
-def bench_scaling(p_list: list[int], methods: tuple[str, ...] = ("one_step", "exact_influence"),
+def bench_scaling(p_list: list[int], methods: tuple[str, ...] = BENCH_METHODS,
                   n_blocks: int = 256, repeats: int = 3, n_context: int = 64,
                   seed: int = 0, exact_limit: int = 3000) -> BenchReport:
     """Wall time per method per model size, plus log-log slopes.

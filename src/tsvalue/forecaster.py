@@ -28,6 +28,7 @@ from .errors import (
     NonFiniteGradient,
     NonFiniteLoss,
     ShapeMismatch,
+    require,
 )
 
 CHECKPOINT_FORMAT = "tsvalue-model-v1"
@@ -63,15 +64,14 @@ class ModelSpec:
     init_seed: int = 0
 
     def __post_init__(self):
-        if self.architecture not in ("linear_ar", "mlp"):
-            raise InvalidSpec(f"unknown architecture {self.architecture!r}")
-        if self.lookback < 1 or self.horizon < 1 or self.channels < 1:
-            raise InvalidSpec("lookback, horizon, and channels must all be >= 1")
+        require(self.architecture in ("linear_ar", "mlp"),
+                f"unknown architecture {self.architecture!r}", InvalidSpec)
+        require(min(self.lookback, self.horizon, self.channels) >= 1,
+                "lookback, horizon, and channels must all be >= 1", InvalidSpec)
         if self.architecture == "mlp":
-            if self.hidden < 1:
-                raise InvalidSpec("mlp requires hidden >= 1")
-            if self.activation != "tanh":
-                raise InvalidSpec(f"unsupported activation {self.activation!r}")
+            require(self.hidden >= 1, "mlp requires hidden >= 1", InvalidSpec)
+            require(self.activation == "tanh",
+                    f"unsupported activation {self.activation!r}", InvalidSpec)
 
     @property
     def in_dim(self) -> int:
@@ -374,10 +374,8 @@ class OptimizerConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise InvalidSpec(f"unknown optimizer kind {self.kind!r}")
-        if self.learning_rate < 0:
-            raise InvalidSpec("learning rate must be >= 0")
+        require(self.kind in ("sgd", "adam"), f"unknown optimizer kind {self.kind!r}", InvalidSpec)
+        require(self.learning_rate >= 0, "learning rate must be >= 0", InvalidSpec)
 
     @classmethod
     def default_for(cls, kind: str, learning_rate: float) -> "OptimizerConfig":

@@ -28,6 +28,7 @@ from .forecaster import ForecastInstance, Forecaster, OptimizerConfig, train
 
 MAX_DENSE_PARAMS = 5000
 ENUMERATION_CAP = 8
+SHAPLEY_MODES = ("mc", "enumerate")
 _FD_STEP = 1e-5
 
 

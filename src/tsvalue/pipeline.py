@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import require, require_at_least
 from .forecaster import (
     Forecaster,
     ModelSpec,
@@ -40,6 +40,11 @@ class TrainSettings:
     learning_rate: float = 0.01
     instance_stride: int = 1
 
+    def __post_init__(self):
+        require_at_least(self, 0, "epochs")
+        require_at_least(self, 1, "batch_size", "instance_stride")
+        self.optimizer()  # rejects an unknown optimizer kind or a negative learning rate
+
     def optimizer(self) -> OptimizerConfig:
         return OptimizerConfig.default_for(self.optimizer_kind, self.learning_rate)
 
@@ -60,8 +65,8 @@ class ValuationRun:
 def spec_for_block_length(template: ModelSpec, block_length: int) -> ModelSpec:
     """Derive the lookback so one block splits into (lookback -> horizon)."""
     lookback = block_length - template.horizon
-    if lookback < 1:
-        raise ConfigError(f"block length {block_length} too short for horizon {template.horizon}")
+    require(lookback >= 1, f"block length {block_length} leaves no lookback "
+                           f"for horizon {template.horizon}")
     return replace(template, lookback=lookback)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, require
 from .series import TimeSeries
 
 GENERATORS = ("sine_mix", "ar_process", "trend_season")
@@ -24,12 +24,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.generator not in GENERATORS:
-            raise InvalidSpec(f"unknown generator {self.generator!r}; pick one of {GENERATORS}")
-        if self.length < 1 or self.channels < 1:
-            raise InvalidSpec("length and channels must be >= 1")
-        if self.noise_std < 0:
-            raise InvalidSpec("noise_std must be >= 0")
+        require(self.generator in GENERATORS,
+                f"unknown generator {self.generator!r}; pick one of {GENERATORS}", InvalidSpec)
+        require(min(self.length, self.channels) >= 1,
+                "length and channels must be >= 1", InvalidSpec)
+        require(self.noise_std >= 0, "noise_std must be >= 0", InvalidSpec)
         object.__setattr__(self, "ar_coeffs", tuple(float(c) for c in self.ar_coeffs))
 
 

@@ -15,11 +15,17 @@ across blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, EmptyContext, HorizonTooLong, ShapeMismatch, WhollyUnscoredSample
+from .errors import (
+    EmptyContext,
+    HorizonTooLong,
+    ShapeMismatch,
+    WhollyUnscoredSample,
+    require_at_least,
+)
 from .forecaster import (
     ForecastInstance,
     Forecaster,
@@ -46,18 +52,12 @@ class ValuationConfig:
     k_folds: int = 5
     context_cap: int | None = None  # max context instances per fold
     sample_length: int | None = None  # selection-unit length; defaults to block_length
-    seed: int = 0
+    seed: int = field(default=0, metadata={"in_file": False})  # the run's top-level seed
 
     def __post_init__(self):
-        # zero is allowed: the degenerate no-step case scores every block 0
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
-        if self.block_length < 2:
-            raise ConfigError("block_length must be >= 2")
-        if self.stride < 1:
-            raise ConfigError("stride must be >= 1")
-        if self.k_folds < 2:
-            raise ConfigError("k_folds must be >= 2")
+        require_at_least(self, 2, "block_length", "k_folds")
+        require_at_least(self, 1, "stride", "context_cap", "sample_length")
+        self.optimizer()  # an unknown kind or a negative rate fails; zero scores every block 0
 
     @property
     def effective_sample_length(self) -> int:

@@ -1,13 +1,19 @@
+import dataclasses
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from tsvalue import experiments
+from tsvalue import cli, errors, experiments
 from tsvalue.cli import _oracle_scores, main
 from tsvalue.config import RunConfig
 from tsvalue.errors import ConfigError
@@ -40,6 +46,47 @@ def write_config(tmp_path, overrides=None, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
+
+
+COMMANDS = ("synth", "value", "oracle-compare", "select-eval", "ablate", "bench", "generalize")
+
+# values of the wrong JSON type for each scalar annotation
+_WRONG_SCALARS = {
+    int: ["3", 2.5, True, [1], {}, None],
+    float: ["0.5", False, [0.5], None],
+    bool: ["yes", 1, [True], None],
+    str: [1, 0.5, False, ["a"], None],
+}
+
+
+def _wrong_values(typ) -> list:
+    """JSON values that the annotation ``typ`` does not admit."""
+    args = typing.get_args(typ)
+    if type(None) in args:  # X | None admits null
+        return [v for v in _wrong_values(args[0]) if v is not None]
+    if dataclasses.is_dataclass(typ):
+        return [[1, 2], "x", 3, None]
+    if typing.get_origin(typ) is tuple:
+        return ["x", 3, None, {}] + [[v] for v in _WRONG_SCALARS[args[0]] if v is not None]
+    return _WRONG_SCALARS[typ]
+
+
+def _wrong_type_cases(cls, path=()) -> list:
+    """(key path, wrong value) for every key a config file may set, sections included."""
+    cases = []
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if not f.metadata.get("in_file", True):
+            continue
+        typ, key_path = hints[f.name], path + (f.name,)
+        cases += [(key_path, v) for v in _wrong_values(typ)]
+        inner = typing.get_args(typ)[0] if type(None) in typing.get_args(typ) else typ
+        if dataclasses.is_dataclass(inner):
+            cases += _wrong_type_cases(inner, key_path)
+    return cases
+
+
+WRONG_TYPE_CASES = _wrong_type_cases(RunConfig)
 
 
 class TestConfig:
@@ -79,6 +126,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("k_folds", 1), ("block_length", 1), ("learning_rate", -0.1), ("stride", 0),
+        ("sample_length", 0), ("k_folds", "3"), ("block_length", 20.5),
+        ("optimizer_kind", "rmsprop"), ("context_cap", 0),
     ])
     def test_bad_valuation_value_exits_1(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, {"valuation": {key: value}})
@@ -89,6 +138,7 @@ class TestConfig:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    # section None: value holds the top-level overrides and key only names the case
     @pytest.mark.parametrize("command, section, key, value", [
         ("select-eval", "selection", "ratio", 0),
         ("select-eval", "selection", "ratio", 1.5),
@@ -99,14 +149,73 @@ class TestConfig:
         ("generalize", "generalize", "strategies", ["top", "middle"]),
         ("generalize", "generalize", "ratios", 0.2),
         ("ablate", "ablation", "block_lengths", []),
+        ("select-eval", "corruption", "kind", "spike"),
+        ("select-eval", None, "test_fraction", {"test_fraction": 1.5}),
+        ("select-eval", None, "test_fraction", {"test_fraction": 0}),
+        ("select-eval", None, "valuation_not_object", {"valuation": [1, 2]}),
+        ("select-eval", "pretrain", "batch_size", 0),
+        ("select-eval", "pretrain", "instance_stride", 0),
+        ("select-eval", "pretrain", "epochs", "1"),
+        ("select-eval", None, "seed", {"seed": "x"}),
+        ("oracle-compare", "oracle_compare", "methods", ["bogus"]),
+        ("oracle-compare", None, "loo_with_mlp",
+         {"oracle_compare": {"methods": ["loo"]},
+          "model": {"architecture": "mlp", "horizon": 2, "hidden": 4}}),
+        ("select-eval", "pretrain", "optimizer_kind", "rmsprop"),
+        ("oracle-compare", "oracle_compare", "shapley_mode", "bogus"),
+        ("select-eval", "finetune", "epochs", -1),
+        ("select-eval", None, "normalize", {"normalize": "no"}),
+        ("bench", "bench", "methods", ["bogus"]),
+        ("bench", "bench", "repeats", 0),
+        ("oracle-compare", "oracle_compare", "stride", 0),
+        ("value", "corruption", "magnitude", -1),
+        ("value", "model", "horizon", 20),  # leaves no lookback in a 20-step block
+        ("value", "model", "architecture", "mlp"),  # with hidden 0
     ])
     def test_bad_experiment_setting_exits_1_at_load(self, tmp_path, capsys,
                                                      command, section, key, value):
-        path = write_config(tmp_path, {section: {key: value}})
+        path = write_config(tmp_path, {section: {key: value}} if section else value)
         assert main([command, "--config", str(path)]) == 1
         captured = capsys.readouterr()
         err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith("tsvalue: exit=1 kind=ConfigError")
+        assert len(err) == 1
+        kind = re.match(r'tsvalue: exit=1 kind=(\w+) detail=".*"$', err[0]).group(1)
+        assert issubclass(getattr(errors, kind), ConfigError)
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_defaults_pinned_by_hash(self):
+        # the README's minimal config restates the defaults; a moved default
+        # or a README example that drifts from them changes this hash
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"Minimal config:\n\n```json\n(.*?)```", readme, re.S).group(1)
+        for raw in ({"dataset": {"synthetic": {}}}, json.loads(block)):
+            assert RunConfig.from_dict(raw).config_hash == "8a9c917b58492354"
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.sampled_from(WRONG_TYPE_CASES), command=st.sampled_from(COMMANDS))
+    def test_wrong_json_type_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                      case, command):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+
+        monkeypatch.setattr(cli, "fit_value_model", no_fit)
+        monkeypatch.setattr(experiments, "fit_value_model", no_fit)
+        capsys.readouterr()  # examples share the fixtures: start each one clean
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        path, wrong = case
+        raw = json.loads(write_config(tmp_path).read_text(encoding="utf-8"))
+        section = raw
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = wrong
+        cfg = tmp_path / "wrong.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        assert main([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and re.match(r'^tsvalue: exit=1 kind=\w+ detail=".*"$', err[0])
         assert captured.out == ""
         assert not (tmp_path / "out" / "value_model.json").exists()
 
