@@ -15,7 +15,6 @@ from .forecaster import (
     OptimizerConfig,
     OptimizerState,
     TrainResult,
-    init_model,
     load_model,
     optimizer_step,
     save_model,
@@ -67,7 +66,7 @@ from .valuation import (
     ValuationConfig,
     aggregate_points,
     aggregate_samples,
-    block_to_instance,
+    block_instances,
     block_value,
     finetune_one_step,
     grad_inner_influence,

@@ -20,7 +20,7 @@ from .config import RunConfig
 from .errors import ConfigError, DataError, NumericError, TsvalueError
 from .experiments import ablate_block_length, bench_scaling, cross_model_generalization
 from .forecaster import Forecaster, load_model, save_model, sliding_instances
-from .oracles import build_hessian, loo_linear_oracle, mc_shapley, rank_agreement
+from .oracles import build_hessian, check_enumerable, loo_linear_oracle, mc_shapley, rank_agreement
 from .pipeline import fit_value_model, run_valuation
 from .reports import (
     write_ablation,
@@ -38,6 +38,7 @@ from .selection import (
     select,
 )
 from .series import (
+    Block,
     HoldoutSplit,
     TimeSeries,
     compute_norm_stats,
@@ -47,7 +48,7 @@ from .series import (
     split_holdout,
 )
 from .synthetic import generate, write_csv as write_series_csv
-from .valuation import block_to_instance, check_coverage, score_blocks_batch
+from .valuation import block_instances, check_coverage, score_blocks_batch
 
 OUTPUT_DIR_ENV = "TSVALUE_OUT"
 
@@ -201,21 +202,12 @@ def cmd_select_eval(cfg: RunConfig, out_dir: Path) -> None:
 
 def cmd_oracle_compare(cfg: RunConfig, out_dir: Path) -> None:
     prep = _prepare(cfg)
-    model, params = _value_model(cfg, prep.target)
     oc = cfg.oracle_compare
-    length = cfg.valuation.block_length
-    t_target = prep.target.length
-    stride = oc.stride
-    if stride is None:
-        stride = max(1, (t_target - length) // max(1, 2 * oc.max_blocks - 1))
-    blocks = segment_blocks((0, t_target), length, stride)
-    scored = blocks[0::2][:oc.max_blocks]
-    context_blocks = blocks[1::2][:oc.context_cap]
-    if not scored or not context_blocks:
-        raise DataError("target split too short to form scored and context block sets")
+    scored, context_blocks = _oracle_blocks(cfg, prep.target.length)
+    model, params = _value_model(cfg, prep.target)
     horizon = model.spec.horizon
-    scored_insts = [block_to_instance(prep.target, b, horizon) for b in scored]
-    context_insts = [block_to_instance(prep.target, b, horizon) for b in context_blocks]
+    scored_insts = block_instances(prep.target, scored, horizon)
+    context_insts = block_instances(prep.target, context_blocks, horizon)
 
     train_insts = sliding_instances(prep.target.values, model.spec.lookback,
                                     horizon, stride=1)
@@ -245,6 +237,23 @@ def cmd_oracle_compare(cfg: RunConfig, out_dir: Path) -> None:
         "scores": scores,
     })
     print(f"tsvalue: wrote {out_dir / 'oracle_compare.json'}")
+
+
+def _oracle_blocks(cfg: RunConfig, t_target: int) -> tuple[list[Block], list[Block]]:
+    """Scored and context blocks (alternate blocks of the target), checked before training."""
+    oc = cfg.oracle_compare
+    length = cfg.valuation.block_length
+    stride = oc.stride
+    if stride is None:
+        stride = max(1, (t_target - length) // max(1, 2 * oc.max_blocks - 1))
+    blocks = segment_blocks((0, t_target), length, stride)
+    scored = blocks[0::2][:oc.max_blocks]
+    context_blocks = blocks[1::2][:oc.context_cap]
+    if not scored or not context_blocks:
+        raise DataError("target split too short to form scored and context block sets")
+    if "shapley" in oc.methods and oc.shapley_mode == "enumerate":
+        check_enumerable(len(scored))
+    return scored, context_blocks
 
 
 def _oracle_scores(method: str, cfg: RunConfig, model, params,
@@ -278,8 +287,7 @@ def _oracle_scores(method: str, cfg: RunConfig, model, params,
         def utility(subset: tuple[int, ...]) -> float:
             if not subset:
                 return -model.batch_loss(params, context_insts)
-            picked = [scored_insts[i] for i in subset]
-            result = train_fn(model, picked, oc.shapley_epochs, 8,
+            result = train_fn(model, scored_insts[list(subset)], oc.shapley_epochs, 8,
                               cfg.finetune.optimizer(), cfg.seed,
                               init_params=params)
             return -model.batch_loss(result.params, context_insts)

@@ -145,12 +145,12 @@ def _bench_instances(model: Forecaster, params: np.ndarray, n: int,
     default damping; the arithmetic being timed is unchanged.
     """
     spec = model.spec
-    out = []
+    xs, ys = [], []
     for _ in range(n):
-        x = rng.normal(size=(spec.lookback, spec.channels))
-        y = model.predict(params, x) + jitter * rng.normal(size=(spec.horizon, spec.channels))
-        out.append(ForecastInstance(x, y))
-    return out
+        xs.append(rng.normal(size=(spec.lookback, spec.channels)))
+        ys.append(model.predict(params, xs[-1])
+                  + jitter * rng.normal(size=(spec.horizon, spec.channels)))
+    return ForecastInstance(np.stack(xs), np.stack(ys))
 
 
 def bench_scaling(p_list: list[int], methods: tuple[str, ...] = BENCH_METHODS,
@@ -194,8 +194,8 @@ def bench_scaling(p_list: list[int], methods: tuple[str, ...] = BENCH_METHODS,
 
 
 def _dense_influence(model: Forecaster, params: np.ndarray,
-                     blocks: list[ForecastInstance],
-                     context: list[ForecastInstance]) -> np.ndarray:
+                     blocks: ForecastInstance,
+                     context: ForecastInstance) -> np.ndarray:
     # unit damping: cost is what matters here, and an untrained network's
     # Hessian can dip below the trace-based default. The inverse is
     # materialized once so its cost amortizes over arbitrarily many scored

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmptyBatch,
@@ -36,20 +37,35 @@ CHECKPOINT_FORMAT = "tsvalue-model-v1"
 
 @dataclass(frozen=True)
 class ForecastInstance:
-    """One (lookback, horizon) pair cut from a contiguous slice."""
+    """N stacked (lookback, horizon) pairs: input N x W x M, target N x H x M.
 
-    input: np.ndarray   # W x M
-    target: np.ndarray  # H x M
+    A single W x M / H x M pair is promoted to N = 1. Indexing with an int,
+    a slice, an index array or a bool mask gives another set; a slice of a
+    sliding-window set stays a view of the series.
+    """
+
+    input: np.ndarray
+    target: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.input, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(self.target, dtype=np.float64))
+        x = np.asarray(self.input, dtype=np.float64)
+        y = np.asarray(self.target, dtype=np.float64)
+        if x.ndim < 3 and y.ndim < 3:
+            x, y = np.atleast_2d(x)[None], np.atleast_2d(y)[None]
+        if x.ndim != 3 or y.ndim != 3 or x.shape[0] != y.shape[0]:
+            raise ShapeMismatch(f"input {x.shape} and target {y.shape} are not N stacked pairs")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("forecast instance contains non-finite values")
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "input", x)
         object.__setattr__(self, "target", y)
+
+    def __len__(self) -> int:
+        return self.input.shape[0]
+
+    def __getitem__(self, index) -> "ForecastInstance":
+        return ForecastInstance(self.input[index], self.target[index])
 
 
 @dataclass(frozen=True)
@@ -128,39 +144,20 @@ class Forecaster:
 
     # --- instance handling --------------------------------------------------
 
-    def _design_row(self, instance: ForecastInstance) -> tuple[np.ndarray, np.ndarray]:
-        s = self.spec
-        if instance.input.shape != (s.lookback, s.channels):
-            raise ShapeMismatch(
-                f"input shape {instance.input.shape} != ({s.lookback}, {s.channels})"
-            )
-        if instance.target.shape != (s.horizon, s.channels):
-            raise ShapeMismatch(
-                f"target shape {instance.target.shape} != ({s.horizon}, {s.channels})"
-            )
-        a = instance.input.ravel()
-        if s.bias:
-            a = np.append(a, 1.0)
-        return a, instance.target.ravel()
-
-    def design_matrix(self, instances: list[ForecastInstance]):
+    def design_matrix(self, instances: ForecastInstance):
         """(N x D design rows, N x O flattened targets); D includes the bias column."""
         s = self.spec
-        try:
-            x = np.stack([inst.input for inst in instances])
-            y = np.stack([inst.target for inst in instances])
-        except ValueError as exc:
-            raise ShapeMismatch(f"instances have inconsistent shapes: {exc}") from None
+        x, y = instances.input, instances.target
         if x.shape[1:] != (s.lookback, s.channels) or y.shape[1:] != (s.horizon, s.channels):
             raise ShapeMismatch(
                 f"instance shapes {x.shape[1:]} -> {y.shape[1:]} do not match "
                 f"spec ({s.lookback}, {s.channels}) -> ({s.horizon}, {s.channels})"
             )
         n = len(instances)
-        a = x.reshape(n, -1)
+        a = x.reshape(n, s.lookback * s.channels)
         if s.bias:
             a = np.concatenate([a, np.ones((n, 1))], axis=1)
-        return a, y.reshape(n, -1)
+        return a, y.reshape(n, s.out_dim)
 
     # --- forward / loss -----------------------------------------------------
 
@@ -178,17 +175,12 @@ class Forecaster:
 
     def predict(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Forecast an H x M horizon from a W x M lookback window."""
-        inst = ForecastInstance(x, np.zeros((self.spec.horizon, self.spec.channels)))
-        a, _ = self._design_row(inst)
-        pred, _ = self._forward_flat(params, a[None, :])
-        return pred[0].reshape(self.spec.horizon, self.spec.channels)
+        s = self.spec
+        a, _ = self.design_matrix(ForecastInstance(x, np.zeros((s.horizon, s.channels))))
+        pred, _ = self._forward_flat(params, a)
+        return pred[0].reshape(s.horizon, s.channels)
 
-    def loss(self, params: np.ndarray, instance: ForecastInstance) -> float:
-        a, y = self._design_row(instance)
-        pred, _ = self._forward_flat(params, a[None, :])
-        return float(np.mean((pred[0] - y) ** 2))
-
-    def batch_loss(self, params: np.ndarray, instances: list[ForecastInstance]) -> float:
+    def batch_loss(self, params: np.ndarray, instances: ForecastInstance) -> float:
         """Arithmetic mean of per-instance losses."""
         if not instances:
             raise EmptyBatch("batch_loss needs at least one instance")
@@ -197,7 +189,7 @@ class Forecaster:
         return float(np.mean((pred - y) ** 2))
 
     def batch_metrics(self, params: np.ndarray,
-                      instances: list[ForecastInstance]) -> tuple[float, float]:
+                      instances: ForecastInstance) -> tuple[float, float]:
         """(MSE, MAE) over all instances and target entries."""
         if not instances:
             raise EmptyBatch("batch_metrics needs at least one instance")
@@ -208,20 +200,7 @@ class Forecaster:
 
     # --- gradients ----------------------------------------------------------
 
-    def grad(self, params: np.ndarray, instance: ForecastInstance) -> GradientResult:
-        """Exact analytic gradient of the single-instance MSE loss."""
-        a, y = self._design_row(instance)
-        pred, hidden = self._forward_flat(params, a[None, :])
-        r = pred[0] - y
-        loss = float(np.mean(r**2))
-        dpred = (2.0 / self.spec.out_dim) * r
-        if self.spec.architecture == "linear_ar":
-            g = np.outer(a, dpred).ravel()
-        else:
-            g = self._mlp_backward(params, a[None, :], hidden, dpred[None, :])[0]
-        return GradientResult(loss=loss, grad=g)
-
-    def batch_grad(self, params: np.ndarray, instances: list[ForecastInstance]) -> GradientResult:
+    def batch_grad(self, params: np.ndarray, instances: ForecastInstance) -> GradientResult:
         """Gradient of the mean loss over a batch."""
         if not instances:
             raise EmptyBatch("batch_grad needs at least one instance")
@@ -238,7 +217,7 @@ class Forecaster:
         return GradientResult(loss=loss, grad=g)
 
     def grad_per_instance(self, params: np.ndarray,
-                          instances: list[ForecastInstance]) -> np.ndarray:
+                          instances: ForecastInstance) -> np.ndarray:
         """N x P matrix of per-instance loss gradients."""
         if not instances:
             raise EmptyBatch("grad_per_instance needs at least one instance")
@@ -278,7 +257,7 @@ class Forecaster:
         return np.mean((self._forward_many(params2d, a) - y) ** 2, axis=(1, 2))
 
     def grad_many_params(self, params2d: np.ndarray,
-                         instances: list[ForecastInstance],
+                         instances: ForecastInstance,
                          chunk: int = 32) -> np.ndarray:
         """Mean-loss gradient for each row of a B x P parameter matrix."""
         a, y = self.design_matrix(instances)
@@ -341,21 +320,23 @@ class Forecaster:
         return pred
 
 
-def init_model(spec: ModelSpec) -> np.ndarray:
-    """Deterministic initial parameter vector for a spec."""
-    return Forecaster(spec).init_params()
-
-
 def sliding_instances(values: np.ndarray, lookback: int, horizon: int,
-                      stride: int = 1) -> list[ForecastInstance]:
-    """All contiguous (lookback + horizon)-windows of a T x M array."""
+                      stride: int = 1, starts: np.ndarray | None = None) -> ForecastInstance:
+    """The (lookback + horizon)-windows of a T x M array that start every
+    ``stride`` rows, or at the rows ``starts`` in that order.
+
+    All are cut from one ``sliding_window_view``: every-stride windows stay
+    views of ``values``; chosen starts are copied out before the set is
+    built, so only their values are checked, not every window's.
+    """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     span = lookback + horizon
-    out = []
-    for start in range(0, values.shape[0] - span + 1, stride):
-        out.append(ForecastInstance(values[start:start + lookback],
-                                    values[start + lookback:start + span]))
-    return out
+    if values.shape[0] < span:
+        windows = np.empty((0, span, values.shape[1]))
+    else:  # sliding_window_view puts the window axis last
+        windows = sliding_window_view(values, span, axis=0).transpose(0, 2, 1)
+    windows = windows[::stride] if starts is None else windows[starts]
+    return ForecastInstance(windows[:, :lookback], windows[:, lookback:])
 
 
 # --- optimizers --------------------------------------------------------------
@@ -434,7 +415,7 @@ class TrainResult:
     epoch_losses: tuple[float, ...] = field(default=())
 
 
-def train(model: Forecaster, instances: list[ForecastInstance], epochs: int,
+def train(model: Forecaster, instances: ForecastInstance, epochs: int,
           batch_size: int, optimizer: OptimizerConfig, seed: int,
           init_params: np.ndarray | None = None) -> TrainResult:
     """Shuffled mini-batch training, deterministic under seed.
@@ -444,7 +425,7 @@ def train(model: Forecaster, instances: list[ForecastInstance], epochs: int,
     exceeds 1e12.
     """
     if not instances:
-        raise EmptyBatch("cannot train on an empty instance list")
+        raise EmptyBatch("cannot train on an empty instance set")
     params = model.init_params() if init_params is None else np.array(init_params, dtype=np.float64)
     state = OptimizerState.fresh(optimizer, model.spec.n_params)
     rng = np.random.default_rng(seed)
@@ -454,8 +435,7 @@ def train(model: Forecaster, instances: list[ForecastInstance], epochs: int,
         order = rng.permutation(n)
         losses = []
         for lo in range(0, n, batch_size):
-            batch = [instances[i] for i in order[lo:lo + batch_size]]
-            result = model.batch_grad(params, batch)
+            result = model.batch_grad(params, instances[order[lo:lo + batch_size]])
             if not np.isfinite(result.loss) or result.loss > 1e12:
                 raise NonFiniteLoss(f"training diverged: batch loss {result.loss}")
             losses.append(result.loss)

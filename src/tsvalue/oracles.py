@@ -59,7 +59,7 @@ def default_damping(matrix: np.ndarray) -> float:
 
 
 def build_hessian(model: Forecaster, params: np.ndarray,
-                  instances: list[ForecastInstance], mode: str = "analytic",
+                  instances: ForecastInstance, mode: str = "analytic",
                   damping: float | None = None,
                   col_chunk: int = 128) -> HessianMatrix:
     """Dense mean Hessian of the per-instance MSE losses.
@@ -110,17 +110,14 @@ def build_hessian(model: Forecaster, params: np.ndarray,
 
 def exact_influence(model: Forecaster, params: np.ndarray,
                     z_target: ForecastInstance,
-                    z_context: ForecastInstance | list[ForecastInstance],
+                    z_context: ForecastInstance,
                     hessian: HessianMatrix) -> float:
     """Damped inverse-Hessian-weighted gradient product, positive = beneficial.
 
     Solves (H + lambda I) s = grad L(z_target) and returns grad L(z_context)^T s.
     """
-    g_target = model.grad(params, z_target).grad
-    if isinstance(z_context, ForecastInstance):
-        g_context = model.grad(params, z_context).grad
-    else:
-        g_context = model.batch_grad(params, z_context).grad
+    g_target = model.batch_grad(params, z_target).grad
+    g_context = model.batch_grad(params, z_context).grad
     s = hessian.solve(g_target)
     return float(np.dot(g_context, s))
 
@@ -170,9 +167,9 @@ def loo_linear_oracle(design: np.ndarray, targets: np.ndarray, ridge: float,
     return ctx_loss(beta_without) - ctx_loss(beta)
 
 
-def brute_force_retrain(model: Forecaster, instances: list[ForecastInstance],
+def brute_force_retrain(model: Forecaster, instances: ForecastInstance,
                         leave_out: int | None,
-                        context: list[ForecastInstance],
+                        context: ForecastInstance,
                         epochs: int, batch_size: int,
                         optimizer: OptimizerConfig, seed: int,
                         init_params: np.ndarray | None = None) -> float:
@@ -186,7 +183,7 @@ def brute_force_retrain(model: Forecaster, instances: list[ForecastInstance],
         raise PTooLarge(f"brute-force retraining guard: {len(instances)} instances > 200")
     full = train(model, instances, epochs, batch_size, optimizer, seed,
                  init_params=init_params)
-    kept = [inst for i, inst in enumerate(instances) if i != leave_out]
+    kept = instances[np.arange(len(instances)) != leave_out]
     reduced = train(model, kept, epochs, batch_size, optimizer, seed,
                     init_params=init_params)
     loss_full = model.batch_loss(full.params, context)
@@ -204,6 +201,12 @@ class ShapleyEstimate:
     @property
     def total(self) -> float:
         return float(self.values.sum())
+
+
+def check_enumerable(n_blocks: int) -> None:
+    """Raise PTooLarge if exact Shapley enumeration over n_blocks is refused."""
+    if n_blocks > ENUMERATION_CAP:
+        raise PTooLarge(f"enumeration mode caps at {ENUMERATION_CAP} blocks, got {n_blocks}")
 
 
 def mc_shapley(n_blocks: int, utility: Callable[[tuple[int, ...]], float],
@@ -229,10 +232,7 @@ def mc_shapley(n_blocks: int, utility: Callable[[tuple[int, ...]], float],
         return cache[subset]
 
     if mode == "enumerate":
-        if n_blocks > ENUMERATION_CAP:
-            raise PTooLarge(
-                f"enumeration mode caps at {ENUMERATION_CAP} blocks, got {n_blocks}"
-            )
+        check_enumerable(n_blocks)
         weights = [
             math.factorial(s) * math.factorial(n_blocks - s - 1) / math.factorial(n_blocks)
             for s in range(n_blocks)

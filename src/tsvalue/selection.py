@@ -21,7 +21,7 @@ from .errors import (
     LengthMismatch,
     TestRangeTooShort,
 )
-from .forecaster import Forecaster, ModelSpec, sliding_instances, train
+from .forecaster import ForecastInstance, Forecaster, ModelSpec, sliding_instances, train
 from .oracles import average_ranks
 from .pipeline import TrainSettings
 from .series import Block, HoldoutSplit, SampleWindow, TimeSeries
@@ -110,14 +110,12 @@ def select(scores: SampleScores, strategy: str, ratio: float, seed: int = 0) -> 
 
 def training_instances(series: TimeSeries, windows: list[SampleWindow],
                        chosen: tuple[int, ...], lookback: int, horizon: int,
-                       stride: int = 1):
-    """All (lookback+horizon)-windows lying fully inside the chosen samples."""
-    instances = []
-    for i in chosen:
-        w = windows[i]
-        instances.extend(sliding_instances(series.values[w.start:w.stop],
-                                           lookback, horizon, stride=stride))
-    return instances
+                       stride: int = 1) -> ForecastInstance:
+    """All (lookback+horizon)-windows lying fully inside the chosen samples, sample by sample."""
+    span = lookback + horizon
+    starts = [np.arange(windows[i].start, windows[i].stop - span + 1, stride) for i in chosen]
+    return sliding_instances(series.values, lookback, horizon,
+                             starts=np.concatenate([np.arange(0), *starts]))
 
 
 def finetune_and_eval(model: Forecaster, base_params: np.ndarray,

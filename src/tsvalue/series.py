@@ -127,9 +127,6 @@ class FoldPlan:
     def indices_in(self, fold_id: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == fold_id)
 
-    def indices_not_in(self, fold_id: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment != fold_id)
-
 
 @dataclass(frozen=True)
 class NormStats:

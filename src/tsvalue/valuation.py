@@ -32,6 +32,7 @@ from .forecaster import (
     OptimizerConfig,
     OptimizerState,
     optimizer_step,
+    sliding_instances,
 )
 from .series import (
     Block,
@@ -98,19 +99,22 @@ class SampleScores:
     coverage_fraction: np.ndarray | None = None
 
 
-def block_to_instance(series: TimeSeries, block: Block, horizon: int) -> ForecastInstance:
-    """Split a block into (first L-H steps -> last H steps)."""
-    if horizon >= block.length:
-        raise HorizonTooLong(f"horizon {horizon} must be < block length {block.length}")
-    window = series.values[block.start:block.stop]
-    return ForecastInstance(window[:-horizon], window[-horizon:])
+def block_instances(series: TimeSeries, blocks: list[Block], horizon: int) -> ForecastInstance:
+    """Each block split into (first L-H steps -> last H steps), stacked in block order."""
+    length = blocks[0].length
+    if horizon >= length:
+        raise HorizonTooLong(f"horizon {horizon} must be < block length {length}")
+    if any(b.length != length for b in blocks):
+        raise ShapeMismatch("blocks of one instance set must share a length")
+    return sliding_instances(series.values, length - horizon, horizon,
+                             starts=np.array([b.start for b in blocks]))
 
 
 def finetune_one_step(model: Forecaster, params: np.ndarray,
                       instance: ForecastInstance,
                       config: ValuationConfig) -> FinetuneResult:
     """Exactly one optimizer step on the instance loss; caller keeps the originals."""
-    g = model.grad(params, instance).grad
+    g = model.batch_grad(params, instance).grad
     state = OptimizerState.fresh(config.optimizer(), model.spec.n_params)
     params_after, _ = optimizer_step(params, g, state)
     return FinetuneResult(params_after=params_after,
@@ -119,7 +123,7 @@ def finetune_one_step(model: Forecaster, params: np.ndarray,
 
 def block_value(model: Forecaster, params: np.ndarray,
                 block_instance: ForecastInstance,
-                context: list[ForecastInstance], config: ValuationConfig) -> float:
+                context: ForecastInstance, config: ValuationConfig) -> float:
     """Context loss drop after one finetune step on the block; score_blocks_batch's reference."""
     if not context:
         raise EmptyContext("block_value needs at least one context instance")
@@ -129,19 +133,16 @@ def block_value(model: Forecaster, params: np.ndarray,
 
 def grad_inner_influence(model: Forecaster, params: np.ndarray,
                          block_instance: ForecastInstance,
-                         context: list[ForecastInstance] | ForecastInstance,
+                         context: ForecastInstance,
                          learning_rate: float) -> float:
     """First-order prediction of the context loss drop: lr * <g_context, g_block>.
 
     Sign convention matches :func:`block_value`: positive = beneficial.
     """
-    if isinstance(context, ForecastInstance):
-        g_ctx = model.grad(params, context).grad
-    else:
-        if not context:
-            raise EmptyContext("grad_inner_influence needs at least one context instance")
-        g_ctx = model.batch_grad(params, context).grad
-    g_blk = model.grad(params, block_instance).grad
+    if not context:
+        raise EmptyContext("grad_inner_influence needs at least one context instance")
+    g_ctx = model.batch_grad(params, context).grad
+    g_blk = model.batch_grad(params, block_instance).grad
     return float(learning_rate * np.dot(g_ctx, g_blk))
 
 
@@ -168,7 +169,9 @@ def value_all_blocks(series: TimeSeries, model: Forecaster, params: np.ndarray,
     samples = enumerate_samples((0, t), sample_len)
     folds = make_folds(len(samples), config.k_folds, config.seed)
 
-    instances = [block_to_instance(series, b, horizon) for b in blocks]
+    # the blocks are the stride-th windows from 0, so one view holds them all
+    instances = sliding_instances(series.values, model.spec.lookback, horizon,
+                                  stride=config.stride)
     block_folds = np.array([
         folds.assignment[min(b.start // sample_len, len(samples) - 1)] for b in blocks
     ])
@@ -182,9 +185,8 @@ def value_all_blocks(series: TimeSeries, model: Forecaster, params: np.ndarray,
         if config.context_cap is not None and ctx_idx.size > config.context_cap:
             rng = np.random.default_rng([config.seed, fold_id])
             ctx_idx = np.sort(rng.choice(ctx_idx, size=config.context_cap, replace=False))
-        values[in_fold] = score_blocks_batch(
-            model, params, [instances[i] for i in np.flatnonzero(in_fold)],
-            [instances[i] for i in ctx_idx], config)
+        values[in_fold] = score_blocks_batch(model, params, instances[in_fold],
+                                             instances[ctx_idx], config)
     return [BlockScore(block=b, value=float(v), fold_id=int(f))
             for b, v, f in zip(blocks, values, block_folds)]
 
@@ -196,8 +198,8 @@ SCORE_CHUNK_FLOATS = 2**16
 
 
 def score_blocks_batch(model: Forecaster, params: np.ndarray,
-                       block_instances: list[ForecastInstance],
-                       context: list[ForecastInstance],
+                       blocks: ForecastInstance,
+                       context: ForecastInstance,
                        config: ValuationConfig) -> np.ndarray:
     """:func:`block_value` for many blocks against one context set, in chunks.
 
@@ -215,9 +217,9 @@ def score_blocks_batch(model: Forecaster, params: np.ndarray,
     chunk = max(1, SCORE_CHUNK_FLOATS // (len(context) * width + spec.n_params))
     state = OptimizerState.fresh(config.optimizer(), spec.n_params)
     a, y = model.design_matrix(context)
-    values = np.empty(len(block_instances))
-    for lo in range(0, len(block_instances), chunk):
-        grads = model.grad_per_instance(params, block_instances[lo:lo + chunk])
+    values = np.empty(len(blocks))
+    for lo in range(0, len(blocks), chunk):
+        grads = model.grad_per_instance(params, blocks[lo:lo + chunk])
         tuned, _ = optimizer_step(params, grads, state)
         # row 0 is the untuned params: one kernel call, so a zero step scores 0
         losses = model.loss_many_params(np.vstack([params, tuned]), a, y)

@@ -20,10 +20,12 @@ from tsvalue.valuation import (
     ValuationConfig,
     aggregate_points,
     aggregate_samples,
-    block_to_instance,
+    block_instances,
     block_value,
     grad_inner_influence,
 )
+
+from instance_sets import stack
 
 
 @pytest.fixture
@@ -83,8 +85,8 @@ def test_criterion_1_first_order_check(report):
     for _ in range(100):
         params = rng.normal(size=spec.n_params) * 0.5
         block = ForecastInstance(rng.normal(size=(9, 1)), rng.normal(size=(1, 1)))
-        ctx = [ForecastInstance(rng.normal(size=(9, 1)), rng.normal(size=(1, 1)))
-               for _ in range(4)]
+        ctx = stack(ForecastInstance(rng.normal(size=(9, 1)), rng.normal(size=(1, 1)))
+                    for _ in range(4))
         errs = {}
         for eta in (1e-2, 1e-3, 1e-4):
             config = ValuationConfig(block_length=10, learning_rate=eta)
@@ -118,9 +120,9 @@ def test_criterion_2_oracle_fidelity(report):
         target, spec, TrainSettings(epochs=150, batch_size=32, learning_rate=0.01), seed)
     stride = max(1, (target.length - length) // 99)
     blocks = segment_blocks((0, target.length), length, stride)
-    scored = [block_to_instance(target, b, horizon) for b in blocks[0::2][:50]]
+    scored = block_instances(target, blocks[0::2][:50], horizon)
     assert len(scored) == 50
-    ctx = [block_to_instance(target, b, horizon) for b in blocks[1::2][:50]]
+    ctx = block_instances(target, blocks[1::2][:50], horizon)
     config = ValuationConfig(block_length=length, learning_rate=1e-5)
     one_step = [block_value(model, params, b, ctx, config) for b in scored]
     grad_inner = [grad_inner_influence(model, params, b, ctx, 1e-5) for b in scored]
@@ -176,9 +178,9 @@ def test_criterion_3_loo_ground_truth(report):
         beta = fit(x, y, ridge)
         spec = ModelSpec("linear_ar", d, 1, 1, bias=False)
         model = Forecaster(spec)
-        insts = [ForecastInstance(x[i][:, None], [[y[i]]]) for i in range(n)]
-        ctx = [ForecastInstance(x_ctx[i][:, None], [[y_ctx[i]]])
-               for i in range(len(y_ctx))]
+        insts = stack(ForecastInstance(x[i][:, None], [[y[i]]]) for i in range(n))
+        ctx = stack(ForecastInstance(x_ctx[i][:, None], [[y_ctx[i]]])
+                    for i in range(len(y_ctx)))
         hessian = build_hessian(model, beta, insts, mode="analytic",
                                 damping=2.0 * ridge / n)
         for i in range(n):
@@ -270,17 +272,18 @@ def test_criterion_7_shapley_axioms(report):
         x = rng.normal(size=4)
         insts.append(ForecastInstance(x[:, None], [[float(w @ x + 0.2 * rng.normal())]]))
     insts[5] = insts[4]  # symmetric pair
+    insts = stack(insts)
     ctx = []
     for _ in range(8):
         x = rng.normal(size=4)
         ctx.append(ForecastInstance(x[:, None], [[float(w @ x)]]))
+    ctx = stack(ctx)
     opt = tv.OptimizerConfig.default_for("adam", 0.05)
 
     def utility(subset):
         if not subset:
             return -model.batch_loss(np.zeros(spec.n_params), ctx)
-        picked = [insts[i] for i in subset]
-        result = tv.train(model, picked, 10, 4, opt, seed=0)
+        result = tv.train(model, insts[list(subset)], 10, 4, opt, seed=0)
         return -model.batch_loss(result.params, ctx)
 
     exact = mc_shapley(6, utility, mode="enumerate")
@@ -348,14 +351,14 @@ def test_criterion_8_determinism_and_invariants(tmp_path, report):
     model = Forecaster(spec)
     params = model.init_params() + 0.2 * rng.normal(size=spec.n_params)
     inst = ForecastInstance(rng.normal(size=(5, 2)), rng.normal(size=(2, 2)))
-    g = model.grad(params, inst).grad
+    g = model.batch_grad(params, inst).grad
     eps = 1e-5
     fd = np.empty_like(g)
     for j in range(spec.n_params):
         up, down = params.copy(), params.copy()
         up[j] += eps
         down[j] -= eps
-        fd[j] = (model.loss(up, inst) - model.loss(down, inst)) / (2 * eps)
+        fd[j] = (model.batch_loss(up, inst) - model.batch_loss(down, inst)) / (2 * eps)
     rel = np.abs(fd - g) / np.maximum(np.abs(g), 1e-3 * np.abs(g).max())
     assert rel.max() <= 1e-5
     report(8, "byte-identical reruns; affine/rank invariants; gradient oracle",

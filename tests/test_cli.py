@@ -380,12 +380,28 @@ class TestOracleCompare:
         assert doc["methods"] == ["one_step"]
         assert doc["spearman"]["one_step"]["one_step"] == 1.0
 
-    def test_enumeration_cap_exits_1(self, tmp_path, capsys):
-        path = write_config(tmp_path, {
-            "oracle_compare": {"methods": ["shapley"], "max_blocks": 10,
-                               "context_cap": 10, "shapley_mode": "enumerate"}})
-        assert main(["oracle-compare", "--config", str(path)]) == 1
-        assert "exit=1" in capsys.readouterr().err
+    # the block sets depend only on the target length and the config, so a
+    # bad set fails before the value model is trained
+    def _fails_before_training(self, tmp_path, capsys, monkeypatch, overrides, code, kind):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+
+        monkeypatch.setattr(cli, "fit_value_model", no_fit)
+        path = write_config(tmp_path, overrides)
+        assert main(["oracle-compare", "--config", str(path)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"tsvalue: exit={code} kind={kind}")
+
+    def test_enumeration_cap_exits_1(self, tmp_path, capsys, monkeypatch):
+        self._fails_before_training(tmp_path, capsys, monkeypatch, {
+            "oracle_compare": {"methods": ["one_step", "shapley"], "max_blocks": 10,
+                               "context_cap": 10, "shapley_mode": "enumerate"}},
+            1, "PTooLarge")
+
+    def test_too_short_target_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the 210-step target holds a single 210-step block: no context set
+        self._fails_before_training(tmp_path, capsys, monkeypatch,
+                                    {"valuation": {"block_length": 210}}, 2, "DataError")
 
     def test_matrix_covers_all_methods(self, tmp_path):
         path = write_config(tmp_path, {

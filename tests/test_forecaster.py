@@ -15,6 +15,8 @@ from tsvalue.forecaster import (
     train,
 )
 
+from instance_sets import stack
+
 
 def scalar_model(bias=False):
     return Forecaster(ModelSpec("linear_ar", 1, 1, 1, bias=bias))
@@ -26,11 +28,11 @@ def scalar_instance(x, y):
 
 def rand_instances(spec, n, seed=0):
     rng = np.random.default_rng(seed)
-    return [
+    return stack(
         ForecastInstance(rng.normal(size=(spec.lookback, spec.channels)),
                          rng.normal(size=(spec.horizon, spec.channels)))
         for _ in range(n)
-    ]
+    )
 
 
 class TestModelSpec:
@@ -62,11 +64,11 @@ class TestModelSpec:
 class TestLoss:
     def test_zero_params_zero_target(self):
         m = scalar_model()
-        assert m.loss(np.zeros(1), scalar_instance(1.0, 0.0)) == 0.0
+        assert m.batch_loss(np.zeros(1), scalar_instance(1.0, 0.0)) == 0.0
 
     def test_zero_params_target_two(self):
         m = scalar_model()
-        assert m.loss(np.zeros(1), scalar_instance(1.0, 2.0)) == 4.0
+        assert m.batch_loss(np.zeros(1), scalar_instance(1.0, 2.0)) == 4.0
 
     def test_zero_at_perfect_prediction(self):
         spec = ModelSpec("linear_ar", 2, 1, 1)
@@ -75,19 +77,19 @@ class TestLoss:
         params = rng.normal(size=spec.n_params)
         x = rng.normal(size=(2, 1))
         y = m.predict(params, x)
-        assert m.loss(params, ForecastInstance(x, y)) == 0.0
+        assert m.batch_loss(params, ForecastInstance(x, y)) == 0.0
 
     def test_shape_mismatch(self):
         m = scalar_model()
         with pytest.raises(errors.ShapeMismatch):
-            m.loss(np.zeros(1), ForecastInstance([[1.0], [2.0]], [[1.0]]))
+            m.batch_loss(np.zeros(1), ForecastInstance([[1.0], [2.0]], [[1.0]]))
 
 
 class TestGrad:
     def test_scalar_no_bias_hand_value(self):
         # d/dw (y - w*x)^2 at w=0, x=1, y=2 is -2*x*(y-0) = -4
         m = scalar_model(bias=False)
-        g = m.grad(np.zeros(1), scalar_instance(1.0, 2.0))
+        g = m.batch_grad(np.zeros(1), scalar_instance(1.0, 2.0))
         assert g.loss == 4.0
         np.testing.assert_allclose(g.grad, [-4.0])
 
@@ -98,7 +100,7 @@ class TestGrad:
         params = rng.normal(size=spec.n_params)
         x = rng.normal(size=(2, 1))
         inst = ForecastInstance(x, m.predict(params, x))
-        np.testing.assert_allclose(m.grad(params, inst).grad, 0.0, atol=1e-15)
+        np.testing.assert_allclose(m.batch_grad(params, inst).grad, 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("arch,hidden", [("linear_ar", 0), ("mlp", 6)])
     def test_matches_central_differences(self, arch, hidden):
@@ -107,14 +109,14 @@ class TestGrad:
         rng = np.random.default_rng(9)
         params = m.init_params() + 0.3 * rng.normal(size=spec.n_params)
         inst = rand_instances(spec, 1, seed=11)[0]
-        g = m.grad(params, inst).grad
+        g = m.batch_grad(params, inst).grad
         eps = 1e-5
         fd = np.empty_like(g)
         for j in range(spec.n_params):
             up, down = params.copy(), params.copy()
             up[j] += eps
             down[j] -= eps
-            fd[j] = (m.loss(up, inst) - m.loss(down, inst)) / (2 * eps)
+            fd[j] = (m.batch_loss(up, inst) - m.batch_loss(down, inst)) / (2 * eps)
         denom = np.maximum(np.abs(g), 1e-3 * np.abs(g).max())
         assert (np.abs(fd - g) / denom).max() <= 1e-5
 
@@ -123,7 +125,7 @@ class TestGrad:
         m = Forecaster(spec)
         params = m.init_params()
         inst = rand_instances(spec, 1, seed=1)[0]
-        assert abs(m.grad(params, inst).loss - m.loss(params, inst)) <= 1e-12
+        assert abs(m.batch_grad(params, inst).loss - m.batch_loss(params, inst)) <= 1e-12
 
 
 class TestBatchLoss:
@@ -133,24 +135,20 @@ class TestBatchLoss:
         self.params = np.random.default_rng(0).normal(size=self.spec.n_params)
         self.insts = rand_instances(self.spec, 5, seed=4)
 
-    def test_single_equals_loss(self):
-        assert self.m.batch_loss(self.params, self.insts[:1]) == \
-            self.m.loss(self.params, self.insts[0])
-
     def test_mean_of_two(self):
         # construct instances with losses 1 and 3 under zero params
         m = scalar_model()
-        batch = [scalar_instance(0.0, 1.0), scalar_instance(0.0, np.sqrt(3.0))]
+        batch = stack([scalar_instance(0.0, 1.0), scalar_instance(0.0, np.sqrt(3.0))])
         assert abs(m.batch_loss(np.zeros(1), batch) - 2.0) < 1e-12
 
     def test_permutation_invariant(self):
         a = self.m.batch_loss(self.params, self.insts)
-        b = self.m.batch_loss(self.params, list(reversed(self.insts)))
+        b = self.m.batch_loss(self.params, self.insts[::-1])
         assert abs(a - b) < 1e-12
 
     def test_empty_batch(self):
         with pytest.raises(errors.EmptyBatch):
-            self.m.batch_loss(self.params, [])
+            self.m.batch_loss(self.params, self.insts[:0])
 
 
 class TestOptimizerStep:
@@ -207,6 +205,7 @@ class TestTrain:
         for _ in range(40):
             x = rng.normal(size=3)
             insts.append(ForecastInstance(x[:, None], [[float(w @ x)]]))
+        insts = stack(insts)
         result = train(m, insts, 200, 8,
                        OptimizerConfig.default_for("adam", 0.05), seed=0)
         assert m.batch_loss(result.params, insts) <= 1e-4
@@ -237,11 +236,11 @@ class TestDescentProperty:
         for trial in range(100):
             params = m.init_params() + 0.2 * rng.normal(size=spec.n_params)
             inst = ForecastInstance(rng.normal(size=(3, 1)), rng.normal(size=(1, 1)))
-            g = m.grad(params, inst)
+            g = m.batch_grad(params, inst)
             if g.loss == 0.0:
                 continue
             eta = 1e-6 / max(1.0, np.linalg.norm(g.grad))
-            after = m.loss(params - eta * g.grad, inst)
+            after = m.batch_loss(params - eta * g.grad, inst)
             assert after <= g.loss + 1e-15
 
 
@@ -293,10 +292,79 @@ class TestSlidingInstances:
         values = np.arange(6, dtype=float)[:, None]
         insts = sliding_instances(values, 2, 1)
         assert len(insts) == 4
-        np.testing.assert_array_equal(insts[0].input[:, 0], [0, 1])
-        np.testing.assert_array_equal(insts[0].target[:, 0], [2])
-        np.testing.assert_array_equal(insts[-1].input[:, 0], [3, 4])
+        np.testing.assert_array_equal(insts[0].input[0, :, 0], [0, 1])
+        np.testing.assert_array_equal(insts[0].target[0, :, 0], [2])
+        np.testing.assert_array_equal(insts[-1].input[0, :, 0], [3, 4])
 
     def test_stride(self):
         values = np.arange(10, dtype=float)[:, None]
         assert len(sliding_instances(values, 3, 1, stride=4)) == 2
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 4])
+    def test_equals_per_window_slices_as_a_view(self, channels, stride):
+        values = np.random.default_rng(channels).normal(size=(23, channels))
+        insts = sliding_instances(values, 5, 2, stride=stride)
+        starts = range(0, 23 - 7 + 1, stride)
+        assert len(insts) == len(starts)
+        np.testing.assert_array_equal(insts.input, [values[s:s + 5] for s in starts])
+        np.testing.assert_array_equal(insts.target, [values[s + 5:s + 7] for s in starts])
+        assert np.shares_memory(insts.input, values) and np.shares_memory(insts.target, values)
+
+    def test_chosen_starts_in_order(self):
+        values = np.arange(12, dtype=float)[:, None]
+        insts = sliding_instances(values, 2, 1, starts=np.array([7, 0, 9]))
+        np.testing.assert_array_equal(insts.input[:, :, 0], [[7, 8], [0, 1], [9, 10]])
+        np.testing.assert_array_equal(insts.target[:, 0, 0], [9, 2, 11])
+
+    def test_series_shorter_than_a_window_gives_empty_set(self):
+        insts = sliding_instances(np.zeros((2, 3)), 2, 1)
+        assert len(insts) == 0
+        assert insts.input.shape == (0, 2, 3) and insts.target.shape == (0, 1, 3)
+
+
+class TestForecastInstance:
+    def setup_method(self):
+        rng = np.random.default_rng(0)
+        self.x = rng.normal(size=(6, 3, 2))
+        self.y = rng.normal(size=(6, 1, 2))
+        self.insts = ForecastInstance(self.x, self.y)
+
+    def test_single_pair_is_one_row(self):
+        inst = ForecastInstance(self.x[0], self.y[0])
+        assert len(inst) == 1
+        assert inst.input.shape == (1, 3, 2) and inst.target.shape == (1, 1, 2)
+
+    def test_arrays_are_read_only(self):
+        with pytest.raises(ValueError):
+            self.insts.input[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            self.insts[1:3].target[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("index, rows", [
+        (2, [2]),
+        (-1, [5]),
+        (slice(1, 5, 2), [1, 3]),
+        (np.array([4, 0, 4]), [4, 0, 4]),
+        (np.array([True, False, False, True, False, True]), [0, 3, 5]),
+    ], ids=["int", "negative-int", "slice", "index-array", "bool-mask"])
+    def test_indexing_gives_a_set_of_those_rows(self, index, rows):
+        part = self.insts[index]
+        assert isinstance(part, ForecastInstance) and len(part) == len(rows)
+        np.testing.assert_array_equal(part.input, self.x[rows])
+        np.testing.assert_array_equal(part.target, self.y[rows])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises(self, bad):
+        x = self.x.copy()
+        x[3, 1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ForecastInstance(x, self.y)
+        y = self.y.copy()
+        y[0, 0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ForecastInstance(self.x, y)
+
+    def test_different_row_counts_raise(self):
+        with pytest.raises(errors.ShapeMismatch):
+            ForecastInstance(self.x, self.y[:5])

@@ -19,6 +19,8 @@ from tsvalue.oracles import (
 )
 from tsvalue.selection import detection_auroc
 
+from instance_sets import stack
+
 
 def scalar_model():
     return Forecaster(ModelSpec("linear_ar", 1, 1, 1, bias=False))
@@ -30,24 +32,24 @@ def scalar_instance(x, y):
 
 def rand_instances(spec, n, seed=0):
     rng = np.random.default_rng(seed)
-    return [
+    return stack(
         ForecastInstance(rng.normal(size=(spec.lookback, spec.channels)),
                          rng.normal(size=(spec.horizon, spec.channels)))
         for _ in range(n)
-    ]
+    )
 
 
 class TestBuildHessian:
     def test_scalar_curvature_is_two(self):
         # L = (y - w*x)^2 with x = 1 has d2L/dw2 = 2
         m = scalar_model()
-        h = build_hessian(m, np.zeros(1), [scalar_instance(1, 2)],
+        h = build_hessian(m, np.zeros(1), scalar_instance(1, 2),
                           mode="analytic", damping=0.0)
         np.testing.assert_allclose(h.matrix, [[2.0]])
 
     def test_damping_shifts_diagonal(self):
         m = scalar_model()
-        h = build_hessian(m, np.zeros(1), [scalar_instance(1, 2)],
+        h = build_hessian(m, np.zeros(1), scalar_instance(1, 2),
                           mode="analytic", damping=1.0)
         assert h.damping == 1.0
         # the damped operator is what solve() applies: (2 + 1) s = rhs
@@ -72,7 +74,7 @@ class TestBuildHessian:
         for _ in range(8):
             x = rng.normal(size=(3, 1))
             insts.append(ForecastInstance(x, m.predict(params, x) + 0.05))
-        h = build_hessian(m, params, insts, mode="finite_diff", damping=1.0)
+        h = build_hessian(m, params, stack(insts), mode="finite_diff", damping=1.0)
         assert np.abs(h.matrix - h.matrix.T).max() <= 1e-8
 
     def test_guard_on_large_p(self):
@@ -87,8 +89,8 @@ class TestBuildHessian:
         m = Forecaster(spec)
         rng = np.random.default_rng(4)
         params = m.init_params() + rng.normal(size=spec.n_params)
-        insts = [ForecastInstance(rng.normal(size=(2, 1)) * 3,
-                                  rng.normal(size=(1, 1)) * 10) for _ in range(4)]
+        insts = stack(ForecastInstance(rng.normal(size=(2, 1)) * 3,
+                                       rng.normal(size=(1, 1)) * 10) for _ in range(4))
         with pytest.raises(errors.IndefiniteAfterDamping) as exc:
             build_hessian(m, params, insts, mode="finite_diff", damping=0.0)
         assert exc.value.min_eigenvalue < 0
@@ -98,7 +100,7 @@ class TestExactInfluence:
     def test_zero_target_gradient(self):
         m = scalar_model()
         params = np.array([2.0])  # fits (x=1, y=2) exactly
-        h = build_hessian(m, params, [scalar_instance(1, 2)], mode="analytic",
+        h = build_hessian(m, params, scalar_instance(1, 2), mode="analytic",
                           damping=0.0)
         assert exact_influence(m, params, scalar_instance(1, 2),
                                scalar_instance(1, 1), h) == 0.0
@@ -106,7 +108,7 @@ class TestExactInfluence:
     def test_scalar_solve(self):
         # H = 2, g_target = -4, g_context = -2: s = -2, influence = +4
         m = scalar_model()
-        h = build_hessian(m, np.zeros(1), [scalar_instance(1, 2)],
+        h = build_hessian(m, np.zeros(1), scalar_instance(1, 2),
                           mode="analytic", damping=0.0)
         infl = exact_influence(m, np.zeros(1), scalar_instance(1, 2),
                                scalar_instance(1, 1), h)
@@ -114,7 +116,7 @@ class TestExactInfluence:
 
     def test_linear_in_context_gradient(self):
         m = scalar_model()
-        h = build_hessian(m, np.zeros(1), [scalar_instance(1, 2)],
+        h = build_hessian(m, np.zeros(1), scalar_instance(1, 2),
                           mode="analytic", damping=0.0)
         one = exact_influence(m, np.zeros(1), scalar_instance(1, 2),
                               scalar_instance(1, 1), h)
@@ -179,7 +181,7 @@ class TestBruteForceRetrain:
         for _ in range(n):
             x = rng.normal(size=3)
             out.append(ForecastInstance(x[:, None], [[float(w @ x)]]))
-        return out
+        return stack(out)
 
     def test_noop_leave_out_exactly_zero(self):
         rng = np.random.default_rng(0)
@@ -198,7 +200,7 @@ class TestBruteForceRetrain:
             x = rng.normal(size=3)
             insts.append(ForecastInstance(x[:, None],
                                           [[float(w @ x + 0.5 * rng.normal())]]))
-        insts.append(insts[0])  # duplicate; removing index 0 leaves a copy
+        insts = stack(insts + [insts[0]])  # duplicate; removing index 0 leaves a copy
         ctx = self.linear_instances(rng, 8, w)
         opt = OptimizerConfig.default_for("adam", 0.05)
         changes = [brute_force_retrain(self.model, insts, i, ctx, 400,
@@ -216,7 +218,7 @@ class TestBruteForceRetrain:
             insts = self.linear_instances(rng, 10, w)
             noise = ForecastInstance(rng.normal(size=(3, 1)),
                                      rng.normal(size=(1, 1)) * 3)
-            insts.append(noise)
+            insts = stack([insts, noise])
             ctx = self.linear_instances(rng, 8, w)
             change = brute_force_retrain(self.model, insts, len(insts) - 1, ctx,
                                          40, 4, self.opt, seed=seed)

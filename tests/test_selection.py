@@ -17,8 +17,9 @@ from tsvalue.selection import (
     finetune_and_eval,
     inject_corruption,
     select,
+    training_instances,
 )
-from tsvalue.series import SampleWindow, TimeSeries, split_holdout
+from tsvalue.series import SampleWindow, TimeSeries, enumerate_samples, split_holdout
 from tsvalue.synthetic import SyntheticSpec, generate
 from tsvalue.valuation import SampleScores, ValuationConfig
 
@@ -175,6 +176,28 @@ class TestFinetuneAndEval:
             if data is series:
                 reference = metrics
         assert metrics == reference
+
+
+class TestTrainingInstances:
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_stays_inside_chosen_samples(self, stride):
+        # values equal their time index, so each window shows where it was cut
+        series = TimeSeries(np.arange(100, dtype=float)[:, None], ("t",))
+        samples = enumerate_samples((0, 100), 20)
+        chosen = (0, 2, 3)
+        lookback, horizon = 5, 2
+        insts = training_instances(series, samples, chosen, lookback, horizon, stride=stride)
+        per_sample = (20 - (lookback + horizon)) // stride + 1
+        assert len(insts) == len(chosen) * per_sample
+        windows = np.concatenate([insts.input, insts.target], axis=1)[:, :, 0]
+        np.testing.assert_array_equal(np.diff(windows, axis=1), 1.0)  # contiguous windows
+        starts = windows[:, 0].astype(int)
+        expected = [s for i in chosen
+                    for s in range(samples[i].start, samples[i].stop - 6, stride)]
+        np.testing.assert_array_equal(starts, expected)
+        sample_of = starts // 20
+        assert np.all((windows[:, -1] // 20) == sample_of)  # never crosses a boundary
+        assert set(sample_of) == set(chosen)
 
 
 class TestInjectCorruption:

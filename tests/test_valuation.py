@@ -15,13 +15,15 @@ from tsvalue.valuation import (
     ValuationConfig,
     aggregate_points,
     aggregate_samples,
-    block_to_instance,
+    block_instances,
     block_value,
     finetune_one_step,
     grad_inner_influence,
     score_blocks_batch,
     value_all_blocks,
 )
+
+from instance_sets import stack
 
 
 def scalar_model():
@@ -37,23 +39,23 @@ def cfg(lr=0.1, **kw):
     return ValuationConfig(learning_rate=lr, **kw)
 
 
-class TestBlockToInstance:
+class TestBlockInstances:
     def test_split_rule(self):
         ts = TimeSeries(np.array([[1.0], [2.0], [3.0]]), ("a",))
-        inst = block_to_instance(ts, Block(0, 3), horizon=1)
-        np.testing.assert_array_equal(inst.input[:, 0], [1, 2])
-        np.testing.assert_array_equal(inst.target[:, 0], [3])
+        inst = block_instances(ts, [Block(0, 3)], horizon=1)
+        np.testing.assert_array_equal(inst.input[0, :, 0], [1, 2])
+        np.testing.assert_array_equal(inst.target[0, :, 0], [3])
 
     def test_horizon_too_long(self):
         ts = TimeSeries(np.zeros((5, 1)), ("a",))
         with pytest.raises(errors.HorizonTooLong):
-            block_to_instance(ts, Block(0, 3), horizon=3)
+            block_instances(ts, [Block(0, 3)], horizon=3)
 
     def test_multivariate_shapes(self):
         ts = TimeSeries(np.arange(10, dtype=float).reshape(5, 2), ("a", "b"))
-        inst = block_to_instance(ts, Block(0, 5), horizon=2)
-        assert inst.input.shape == (3, 2)
-        assert inst.target.shape == (2, 2)
+        inst = block_instances(ts, [Block(0, 5)], horizon=2)
+        assert inst.input.shape == (1, 3, 2)
+        assert inst.target.shape == (1, 2, 2)
 
 
 class TestFinetuneOneStep:
@@ -82,7 +84,7 @@ class TestFinetuneOneStep:
         params = rng.normal(size=spec.n_params)
         inst = ForecastInstance(rng.normal(size=(3, 1)), rng.normal(size=(1, 1)))
         result = finetune_one_step(m, params, inst, cfg(lr=0.05, block_length=4))
-        g = m.grad(params, inst).grad
+        g = m.batch_grad(params, inst).grad
         assert abs(result.delta_norm - 0.05 * np.linalg.norm(g)) < 1e-12
 
 
@@ -90,36 +92,37 @@ class TestBlockValue:
     def test_zero_learning_rate(self):
         m = scalar_model()
         v = block_value(m, np.zeros(1), scalar_instance(1, 2),
-                        [scalar_instance(1, 1)], cfg(lr=0.0))
+                        scalar_instance(1, 1), cfg(lr=0.0))
         assert v == 0.0
 
     def test_scalar_hand_chain(self):
         # context loss 1 -> 0.36 after the step to w=0.4, so v = 0.64
         m = scalar_model()
         v = block_value(m, np.zeros(1), scalar_instance(1, 2),
-                        [scalar_instance(1, 1)], cfg(lr=0.1))
+                        scalar_instance(1, 1), cfg(lr=0.1))
         assert abs(v - 0.64) < 1e-12
 
     def test_self_context_positive_for_small_lr(self):
         m = scalar_model()
         inst = scalar_instance(1, 2)
-        v = block_value(m, np.zeros(1), inst, [inst], cfg(lr=1e-4))
+        v = block_value(m, np.zeros(1), inst, inst, cfg(lr=1e-4))
         assert v > 0
 
     def test_empty_context(self):
         m = scalar_model()
         with pytest.raises(errors.EmptyContext):
-            block_value(m, np.zeros(1), scalar_instance(1, 2), [], cfg())
+            block_value(m, np.zeros(1), scalar_instance(1, 2), scalar_instance(1, 2)[:0],
+                        cfg())
 
 
 class TestGradInnerInfluence:
     def test_scalar_hand_value_and_gap(self):
         m = scalar_model()
         fo = grad_inner_influence(m, np.zeros(1), scalar_instance(1, 2),
-                                  [scalar_instance(1, 1)], 0.1)
+                                  scalar_instance(1, 1), 0.1)
         assert abs(fo - 0.8) < 1e-12
         v = block_value(m, np.zeros(1), scalar_instance(1, 2),
-                        [scalar_instance(1, 1)], cfg(lr=0.1))
+                        scalar_instance(1, 1), cfg(lr=0.1))
         # exact quadratic gap: eta^2/2 * g' H g = 0.01/2 * (-4)*2*(-4) = 0.16
         assert abs((fo - v) - 0.16) < 1e-12
 
@@ -129,14 +132,14 @@ class TestGradInnerInfluence:
         params = np.zeros(2)
         blk = ForecastInstance([[1.0], [0.0]], [[1.0]])   # gradient along w0
         ctx = ForecastInstance([[0.0], [1.0]], [[1.0]])   # gradient along w1
-        assert grad_inner_influence(m, params, blk, [ctx], 0.1) == 0.0
+        assert grad_inner_influence(m, params, blk, ctx, 0.1) == 0.0
 
     def test_context_at_minimum(self):
         m = scalar_model()
         params = np.array([1.0])
         blk = scalar_instance(1, 5)
         ctx = scalar_instance(1, 1)  # w=1 fits it exactly
-        assert grad_inner_influence(m, params, blk, [ctx], 0.1) == 0.0
+        assert grad_inner_influence(m, params, blk, ctx, 0.1) == 0.0
 
 
 def make_series(t=60, seed=0, channels=1):
@@ -171,13 +174,13 @@ class TestValueAllBlocks:
         config = replace(config, context_cap=context_cap)
         scores = value_all_blocks(series, model, params, config)
         fold_ids = np.array([s.fold_id for s in scores])
-        insts = [block_to_instance(series, s.block, 1) for s in scores]
+        insts = block_instances(series, [s.block for s in scores], 1)
         for i, s in enumerate(scores):
             ctx_idx = np.flatnonzero(fold_ids != s.fold_id)
             if context_cap is not None:
                 rng = np.random.default_rng([config.seed, s.fold_id])
                 ctx_idx = np.sort(rng.choice(ctx_idx, size=context_cap, replace=False))
-            ctx = [insts[j] for j in ctx_idx]
+            ctx = insts[ctx_idx]
             assert abs(s.value - block_value(model, params, insts[i], ctx, config)) <= 1e-12
 
     @pytest.mark.parametrize("optimizer_kind", ["sgd", "adam"])
@@ -261,9 +264,8 @@ class TestValueAllBlocks:
         one = scores_once[10]
         ctx_idx = [s.block for s in scores_once if s.fold_id != one.fold_id]
         # rescoring the same block alone reproduces its value
-        from tsvalue.valuation import block_to_instance as b2i
-        ctx = [b2i(series, b, 1) for b in ctx_idx]
-        alone = block_value(model, params, b2i(series, one.block, 1), ctx, config)
+        ctx = block_instances(series, ctx_idx, 1)
+        alone = block_value(model, params, block_instances(series, [one.block], 1), ctx, config)
         assert abs(alone - one.value) < 1e-15
 
 
@@ -287,10 +289,10 @@ class TestScoreBlocksBatch:
         rng = np.random.default_rng(8)
         params = m.init_params() + 0.1 * rng.normal(size=spec.n_params)
         # large inputs push some gradient norms past Adam's clip of 1
-        blocks = [ForecastInstance(3 * rng.normal(size=(5, 1)), rng.normal(size=(1, 1)))
-                  for _ in range(11)]
-        ctx = [ForecastInstance(rng.normal(size=(5, 1)), rng.normal(size=(1, 1)))
-               for _ in range(7)]
+        blocks = stack(ForecastInstance(3 * rng.normal(size=(5, 1)), rng.normal(size=(1, 1)))
+                       for _ in range(11))
+        ctx = stack(ForecastInstance(rng.normal(size=(5, 1)), rng.normal(size=(1, 1)))
+                    for _ in range(7))
         config = ValuationConfig(block_length=6, learning_rate=1e-3,
                                  optimizer_kind=optimizer_kind)
         fast = score_blocks_batch(m, params, blocks, ctx, config)
@@ -393,8 +395,8 @@ class TestFirstOrderConsistency:
         rng = np.random.default_rng(3)
         params = rng.normal(size=spec.n_params) * 0.5
         block = ForecastInstance(rng.normal(size=(4, 1)), rng.normal(size=(1, 1)))
-        ctx = [ForecastInstance(rng.normal(size=(4, 1)), rng.normal(size=(1, 1)))
-               for _ in range(5)]
+        ctx = stack(ForecastInstance(rng.normal(size=(4, 1)), rng.normal(size=(1, 1)))
+                    for _ in range(5))
         errs = {}
         for eta in (1e-2, 1e-3, 1e-4):
             config = ValuationConfig(block_length=5, learning_rate=eta)
@@ -421,7 +423,7 @@ class TestFirstOrderConsistency:
         series = generate(SyntheticSpec(generator="sine_mix", length=400, seed=0))
         spec = ModelSpec("linear_ar", 9, 1, 1)
         model, params = fit_value_model(series, spec, TrainSettings(epochs=3), seed=0)
-        insts = [block_to_instance(series, b, 1) for b in segment_blocks((0, 400), 10, 5)]
+        insts = block_instances(series, segment_blocks((0, 400), 10, 5), 1)
         blocks, context = insts[0::2], insts[1::2]
         v = score_blocks_batch(model, params, blocks, context,
                                ValuationConfig(block_length=10, learning_rate=eta))
@@ -452,7 +454,7 @@ class TestSignSemantics:
             x_noise = rng.normal(size=(8, 1))
             noise_inst = ForecastInstance(x_noise, m.predict(params, x_noise) + 1.0)
             config = ValuationConfig(block_length=9, learning_rate=1e-4)
-            v_copy = block_value(m, params, ctx_inst, [ctx_inst], config)
-            v_noise = block_value(m, params, noise_inst, [ctx_inst], config)
+            v_copy = block_value(m, params, ctx_inst, ctx_inst, config)
+            v_noise = block_value(m, params, noise_inst, ctx_inst, config)
             wins += v_copy > v_noise
         assert wins >= 18
