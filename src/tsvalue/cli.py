@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +18,10 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .errors import ConfigError, DataError, NumericError, TsvalueError
-from .experiments import ablate_block_length, bench_scaling, cross_model_generalization
-from .forecaster import Forecaster, load_model, save_model, sliding_instances
+from .experiments import bench_scaling
+from .forecaster import Forecaster, ModelSpec, load_model, save_model, sliding_instances
 from .oracles import build_hessian, check_enumerable, loo_linear_oracle, mc_shapley, rank_agreement
-from .pipeline import fit_value_model, run_valuation
+from .pipeline import TrainSettings, ValuationRun, fit_value_model, run_valuation, spec_for_block_length
 from .reports import (
     write_ablation,
     write_bench,
@@ -32,6 +32,7 @@ from .reports import (
 )
 from .selection import (
     CorruptionLabels,
+    EvalReport,
     detection_auroc,
     finetune_and_eval,
     inject_corruption,
@@ -48,7 +49,7 @@ from .series import (
     split_holdout,
 )
 from .synthetic import generate, write_csv as write_series_csv
-from .valuation import block_instances, check_coverage, score_blocks_batch
+from .valuation import ValuationConfig, block_instances, check_coverage, score_blocks_batch
 
 OUTPUT_DIR_ENV = "TSVALUE_OUT"
 
@@ -61,6 +62,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         cfg = RunConfig.load(args.config, seed=args.seed, output_dir=_resolve_out(args))
+        if args.command in ("ablate", "generalize") and cfg.model.checkpoint is not None:
+            raise ConfigError(f"{args.command} trains its own value models and reads no "
+                              f"model.checkpoint; remove it")
         out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, out_dir)
@@ -152,6 +156,65 @@ def _value_model(cfg: RunConfig, target: TimeSeries) -> tuple[Forecaster, np.nda
     return fit_value_model(target, spec, cfg.pretrain, cfg.seed)
 
 
+# --- the select-and-evaluate path ---------------------------------------------
+
+def select_and_evaluate(run: ValuationRun, series: TimeSeries, split: HoldoutSplit,
+                        strategies: tuple[str, ...], ratios: tuple[float, ...],
+                        finetune: TrainSettings, seed: int,
+                        downstream: tuple[Forecaster, np.ndarray] | None = None
+                        ) -> list[EvalReport]:
+    """Select samples by ``run``'s scores, finetune, evaluate: one report per ratio x strategy.
+
+    Every selection finetunes the same starting point: the value model
+    ``run.model``/``run.params``, or the ``(model, params)`` downstream pair.
+    """
+    model, params = downstream if downstream is not None else (run.model, run.params)
+    return [finetune_and_eval(model, params, select(run.sample_scores, strategy, ratio, seed=seed),
+                              list(run.samples), series, split, finetune, seed=seed)
+            for ratio in ratios for strategy in strategies]
+
+
+def ablate_block_length(series: TimeSeries, split: HoldoutSplit,
+                        block_lengths: list[int], model_template: ModelSpec,
+                        config: ValuationConfig, pretrain: TrainSettings,
+                        finetune: TrainSettings, ratio: float = 0.2,
+                        strategies: tuple[str, ...] = ("top", "bottom", "random"),
+                        seed: int = 0) -> list[EvalReport]:
+    """Fit, value, select and evaluate at each block length.
+
+    Every length is checked (model spec and sample coverage) before the
+    first model is fitted, so a bad grid fails with its typed error at once.
+    """
+    target = series.slice(0, split.target_end)
+    configs = [replace(config, block_length=length, seed=seed) for length in block_lengths]
+    specs = [spec_for_block_length(model_template, length) for length in block_lengths]
+    for vcfg in configs:
+        check_coverage(target.length, vcfg)
+    reports = []
+    for vcfg, spec in zip(configs, specs):
+        run = run_valuation(target, vcfg, *fit_value_model(target, spec, pretrain, seed))
+        reports += select_and_evaluate(run, series, split, strategies, (ratio,), finetune, seed)
+    return reports
+
+
+def cross_model_generalization(series: TimeSeries, split: HoldoutSplit,
+                               value_spec: ModelSpec, downstream_spec: ModelSpec,
+                               ratios: list[float], config: ValuationConfig,
+                               pretrain: TrainSettings, finetune: TrainSettings,
+                               strategies: tuple[str, ...] = ("top", "bottom", "random"),
+                               seed: int = 0) -> list[EvalReport]:
+    """Score with one model, finetune another on the selections.
+
+    The downstream model is pretrained on the full target split first; with
+    identical specs this reduces to the single-model pipeline.
+    """
+    target = series.slice(0, split.target_end)
+    run = run_valuation(target, config, *fit_value_model(target, value_spec, pretrain, seed))
+    downstream = fit_value_model(target, downstream_spec, pretrain, seed)
+    return select_and_evaluate(run, series, split, strategies, ratios, finetune, seed,
+                               downstream=downstream)
+
+
 # --- commands -----------------------------------------------------------------
 
 def cmd_synth(cfg: RunConfig, out_dir: Path) -> None:
@@ -189,13 +252,10 @@ def cmd_select_eval(cfg: RunConfig, out_dir: Path) -> None:
     check_coverage(prep.target.length, cfg.valuation)
     model, params = _value_model(cfg, prep.target)
     run = run_valuation(prep.target, cfg.valuation, model, params)
-    reports = []
-    for strategy in cfg.selection.strategies:
-        sel = select(run.sample_scores, strategy, cfg.selection.ratio, seed=cfg.seed)
-        reports.append(finetune_and_eval(model, params, sel, list(run.samples),
-                                         prep.series, prep.split, cfg.finetune,
-                                         seed=cfg.seed))
-        print(f"tsvalue: {strategy:<7} mse={reports[-1].mse:.6g} mae={reports[-1].mae:.6g}")
+    reports = select_and_evaluate(run, prep.series, prep.split, cfg.selection.strategies,
+                                  (cfg.selection.ratio,), cfg.finetune, cfg.seed)
+    for r in reports:
+        print(f"tsvalue: {r.strategy:<7} mse={r.mse:.6g} mae={r.mae:.6g}")
     path = write_eval_reports(out_dir, "select_eval", cfg.config_hash, reports)
     print(f"tsvalue: wrote {path}")
 
@@ -216,8 +276,9 @@ def cmd_oracle_compare(cfg: RunConfig, out_dir: Path) -> None:
         try:
             scores[method] = _oracle_scores(method, cfg, model, params,
                                             scored_insts, context_insts, train_insts)
-        except NumericError as exc:
-            raise type(exc)(f"method={method}: {exc}") from exc
+        except NumericError as exc:  # keep the class and its data, name the method
+            exc.args = (f"method={method}: {exc}",)
+            raise
         print(f"tsvalue: scored {len(scored_insts)} blocks with {method}")
 
     methods = list(scores)
@@ -302,13 +363,13 @@ def _oracle_scores(method: str, cfg: RunConfig, model, params,
 def cmd_ablate(cfg: RunConfig, out_dir: Path) -> None:
     prep = _prepare(cfg, block_length=max(cfg.ablation.block_lengths))
     template = cfg.model.spec(cfg.ablation.block_lengths[0], prep.series.n_channels)
-    cells = ablate_block_length(prep.series, prep.split,
-                                list(cfg.ablation.block_lengths), template,
-                                cfg.valuation, cfg.pretrain, cfg.finetune,
-                                ratio=cfg.ablation.ratio,
-                                strategies=cfg.ablation.strategies,
-                                seed=cfg.seed)
-    path = write_ablation(out_dir, cfg.config_hash, cells)
+    reports = ablate_block_length(prep.series, prep.split,
+                                  list(cfg.ablation.block_lengths), template,
+                                  cfg.valuation, cfg.pretrain, cfg.finetune,
+                                  ratio=cfg.ablation.ratio,
+                                  strategies=cfg.ablation.strategies,
+                                  seed=cfg.seed)
+    path = write_ablation(out_dir, cfg.config_hash, reports)
     print(f"tsvalue: wrote {path} and {out_dir / 'ablation_table.csv'}")
 
 
@@ -329,12 +390,12 @@ def cmd_generalize(cfg: RunConfig, out_dir: Path) -> None:
     value_spec = cfg.model.spec(cfg.valuation.block_length, prep.series.n_channels)
     downstream_spec = cfg.downstream_model.spec(cfg.valuation.block_length,
                                                 prep.series.n_channels)
-    cells = cross_model_generalization(prep.series, prep.split, value_spec,
-                                       downstream_spec, list(cfg.generalize.ratios),
-                                       cfg.valuation, cfg.pretrain, cfg.finetune,
-                                       strategies=cfg.generalize.strategies,
-                                       seed=cfg.seed)
-    path = write_generalization(out_dir, cfg.config_hash, cells)
+    reports = cross_model_generalization(prep.series, prep.split, value_spec,
+                                         downstream_spec, list(cfg.generalize.ratios),
+                                         cfg.valuation, cfg.pretrain, cfg.finetune,
+                                         strategies=cfg.generalize.strategies,
+                                         seed=cfg.seed)
+    path = write_generalization(out_dir, cfg.config_hash, reports)
     print(f"tsvalue: wrote {path}")
 
 

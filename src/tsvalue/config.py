@@ -210,6 +210,9 @@ class RunConfig:
                 f"test_fraction must lie in (0, 1), got {self.test_fraction!r}")
         for model in (self.model, self.downstream_model):
             model.spec(self.valuation.block_length, channels=1)
+        require(self.downstream_model.checkpoint is None,
+                "downstream_model.checkpoint is read by no command; generalize "
+                "pretrains the downstream model itself")
         require(self.model.architecture == "linear_ar" or "loo" not in self.oracle_compare.methods,
                 "oracle_compare: the loo oracle needs the linear_ar model")
         object.__setattr__(self, "valuation", replace(self.valuation, seed=self.seed))

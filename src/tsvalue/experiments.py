@@ -1,111 +1,24 @@
-"""Experiment harnesses: block-length ablation, runtime scaling, cross-model runs.
+"""Runtime-scaling benchmark: wall time of one-step valuation and dense influence vs P.
 
-Each harness is a deterministic grid of independent cells ordered by cell
-key; the CLI serializes the grids to CSV and JSON.
+The select-and-evaluate grids (block-length ablation, cross-model
+generalization) live in ``cli`` with the loop they share.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .forecaster import ForecastInstance, Forecaster, ModelSpec
 from .oracles import build_hessian
-from .pipeline import (
-    TrainSettings,
-    fit_value_model,
-    run_valuation,
-    spec_for_block_length,
-)
-from .selection import EvalReport, finetune_and_eval, select
-from .series import HoldoutSplit, TimeSeries
-from .valuation import ValuationConfig, check_coverage, score_blocks_batch
+from .valuation import ValuationConfig, score_blocks_batch
 
 BENCH_METHODS = ("one_step", "exact_influence")
 
-
-@dataclass(frozen=True)
-class AblationCell:
-    block_length: int
-    strategy: str
-    report: EvalReport
-
-
-def ablate_block_length(series: TimeSeries, split: HoldoutSplit,
-                        block_lengths: list[int], model_template: ModelSpec,
-                        config: ValuationConfig, pretrain: TrainSettings,
-                        finetune: TrainSettings, ratio: float = 0.2,
-                        strategies: tuple[str, ...] = ("top", "bottom", "random"),
-                        seed: int = 0) -> list[AblationCell]:
-    """Full valuation + selection + evaluation for each block length.
-
-    Every length is checked (model spec and sample coverage) before the
-    first model is fitted, so a bad grid fails with its typed error at once.
-    """
-    target = series.slice(0, split.target_end)
-    configs = [replace(config, block_length=length, seed=seed) for length in block_lengths]
-    specs = [spec_for_block_length(model_template, length) for length in block_lengths]
-    for cfg in configs:
-        check_coverage(target.length, cfg)
-    cells = []
-    for length, cfg, spec in zip(block_lengths, configs, specs):
-        model, params = fit_value_model(target, spec, pretrain, seed)
-        run = run_valuation(target, cfg, model, params)
-        for strategy in strategies:
-            sel = select(run.sample_scores, strategy, ratio, seed=seed)
-            report = finetune_and_eval(model, params, sel, list(run.samples),
-                                       series, split, finetune, seed=seed)
-            cells.append(AblationCell(block_length=length, strategy=strategy,
-                                      report=report))
-    return cells
-
-
-@dataclass(frozen=True)
-class GeneralizationCell:
-    ratio: float
-    strategy: str
-    report: EvalReport
-
-
-def cross_model_generalization(series: TimeSeries, split: HoldoutSplit,
-                               value_spec: ModelSpec, downstream_spec: ModelSpec,
-                               ratios: list[float], config: ValuationConfig,
-                               pretrain: TrainSettings, finetune: TrainSettings,
-                               strategies: tuple[str, ...] = ("top", "bottom", "random"),
-                               seed: int = 0,
-                               downstream_base: np.ndarray | None = None
-                               ) -> list[GeneralizationCell]:
-    """Score with one model, train another on the selections.
-
-    The downstream model starts from ``downstream_base`` when given,
-    otherwise it is pretrained on the full target split first, so every
-    selection strategy finetunes the same starting point; with identical
-    specs this reduces to the single-model pipeline.
-    """
-    target = series.slice(0, split.target_end)
-    value_model, value_params = fit_value_model(target, value_spec, pretrain, seed)
-    run = run_valuation(target, config, value_model, value_params)
-    if downstream_base is None:
-        downstream, base = fit_value_model(target, downstream_spec, pretrain, seed)
-    else:
-        downstream = Forecaster(downstream_spec)
-        base = downstream_base
-    cells = []
-    for ratio in ratios:
-        for strategy in strategies:
-            sel = select(run.sample_scores, strategy, ratio, seed=seed)
-            report = finetune_and_eval(downstream, base, sel, list(run.samples),
-                                       series, split, finetune, seed=seed)
-            cells.append(GeneralizationCell(ratio=ratio, strategy=strategy,
-                                            report=report))
-    return cells
-
-
-# --- runtime scaling ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class BenchRow:

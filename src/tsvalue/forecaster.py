@@ -26,6 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (
     EmptyBatch,
     InvalidSpec,
+    MissingFile,
     NonFiniteGradient,
     NonFiniteLoss,
     ShapeMismatch,
@@ -468,9 +469,17 @@ def save_model(path: str | Path, spec: ModelSpec, params: np.ndarray,
 
 
 def load_model(path: str | Path) -> tuple[ModelSpec, np.ndarray]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise InvalidSpec(f"unsupported checkpoint format {doc.get('format')!r}")
+    """Read a ``save_model`` checkpoint: MissingFile if absent, InvalidSpec if not one."""
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFile(f"checkpoint file not found: {path}")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise InvalidSpec(f"checkpoint {path} is not JSON: {exc}") from None
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise InvalidSpec(f"unsupported checkpoint format {fmt!r}")
     spec = ModelSpec(**doc["spec"])
     params = np.asarray(doc["params"], dtype=np.float64)
     if params.shape != (spec.n_params,):

@@ -1,9 +1,10 @@
-"""End-to-end valuation runs shared by the CLI and the experiment harnesses.
+"""End-to-end valuation runs, shared by every CLI command that scores data.
 
 A run trains (or receives) the valuation model on the target split, scores
 every block from those fixed parameters, and aggregates block values down
-to points and samples. Only the target split ever reaches this module; the
-test split stays with the evaluation code.
+to points and samples; it keeps the model and parameters for finetuning.
+Only the target split ever reaches this module; the test split stays with
+the evaluation code.
 """
 
 from __future__ import annotations

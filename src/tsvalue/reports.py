@@ -11,10 +11,10 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import __version__
-from .experiments import AblationCell, BenchReport, GeneralizationCell
+from .experiments import BenchReport
 from .selection import EvalReport
 from .valuation import BlockScore, PointScores, SampleScores
 
@@ -24,8 +24,11 @@ def _doc(config_hash: str, body: dict) -> dict:
 
 
 def write_json(path: Path, config_hash: str, body: dict) -> None:
-    path.write_text(json.dumps(_doc(config_hash, body), sort_keys=True, indent=1) + "\n",
-                    encoding="utf-8")
+    # streamed: the indented encoder yields several chunks per list entry,
+    # and joining them first held ~38 MB for the 56k points of an 80k-step series
+    with path.open("w", encoding="utf-8") as fh:
+        json.dump(_doc(config_hash, body), fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def write_csv(path: Path, config_hash: str, header: list[str],
@@ -83,32 +86,31 @@ def _eval_row(r: EvalReport) -> list:
 
 def write_eval_reports(out_dir: Path, name: str, config_hash: str,
                        reports: list[EvalReport],
-                       extra_cols: list[str] | None = None,
-                       extra_vals: list[list] | None = None) -> Path:
-    header = (extra_cols or []) + _EVAL_HEADER
-    rows = [(extra_vals[i] if extra_vals else []) + _eval_row(r)
-            for i, r in enumerate(reports)]
+                       lead: tuple[str, Callable[[EvalReport], object]] | None = None) -> Path:
+    """``name``.csv and its timing sidecar, one row per report.
+
+    ``lead`` is an optional (header, value of a report) leading column.
+    """
+    head, first = ([lead[0]], lambda r: [lead[1](r)]) if lead else ([], lambda r: [])
     path = out_dir / f"{name}.csv"
-    write_csv(path, config_hash, header, rows)
-    timing = out_dir / f"{name}_timings.csv"
-    write_csv(timing, config_hash,
-              (extra_cols or []) + ["strategy", "ratio", "wall_time_s"],
-              [(extra_vals[i] if extra_vals else []) + [r.strategy, r.ratio, r.wall_time]
-               for i, r in enumerate(reports)])
+    write_csv(path, config_hash, head + _EVAL_HEADER, [first(r) + _eval_row(r) for r in reports])
+    write_csv(out_dir / f"{name}_timings.csv", config_hash,
+              head + ["strategy", "ratio", "wall_time_s"],
+              [first(r) + [r.strategy, r.ratio, r.wall_time] for r in reports])
     return path
 
 
-def write_ablation(out_dir: Path, config_hash: str, cells: list[AblationCell]) -> Path:
-    tidy = write_eval_reports(
-        out_dir, "ablation", config_hash, [c.report for c in cells],
-        extra_cols=["block_length"], extra_vals=[[c.block_length] for c in cells])
+def _block_length(r: EvalReport) -> int:
+    return r.model_spec.lookback + r.model_spec.horizon  # as spec_for_block_length split it
+
+
+def write_ablation(out_dir: Path, config_hash: str, reports: list[EvalReport]) -> Path:
+    tidy = write_eval_reports(out_dir, "ablation", config_hash, reports,
+                              lead=("block_length", _block_length))
     # pivot: one row per strategy, one (mse, mae) column pair per block length
-    lengths = sorted({c.block_length for c in cells})
-    strategies = []
-    for c in cells:
-        if c.strategy not in strategies:
-            strategies.append(c.strategy)
-    by_key = {(c.block_length, c.strategy): c.report for c in cells}
+    lengths = sorted({_block_length(r) for r in reports})
+    strategies = list(dict.fromkeys(r.strategy for r in reports))
+    by_key = {(_block_length(r), r.strategy): r for r in reports}
     header = ["strategy"]
     for length in lengths:
         header += [f"mse@L{length}", f"mae@L{length}"]
@@ -123,11 +125,9 @@ def write_ablation(out_dir: Path, config_hash: str, cells: list[AblationCell]) -
     return tidy
 
 
-def write_generalization(out_dir: Path, config_hash: str,
-                         cells: list[GeneralizationCell]) -> Path:
-    return write_eval_reports(
-        out_dir, "generalize", config_hash, [c.report for c in cells],
-        extra_cols=["sel_ratio"], extra_vals=[[c.ratio] for c in cells])
+def write_generalization(out_dir: Path, config_hash: str, reports: list[EvalReport]) -> Path:
+    return write_eval_reports(out_dir, "generalize", config_hash, reports,
+                              lead=("sel_ratio", lambda r: r.ratio))
 
 
 def write_bench(out_dir: Path, config_hash: str, report: BenchReport) -> Path:

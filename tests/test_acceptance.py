@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import tsvalue as tv
-from tsvalue.experiments import ablate_block_length, bench_scaling, cross_model_generalization
+from tsvalue.cli import ablate_block_length, cross_model_generalization, select_and_evaluate
+from tsvalue.experiments import bench_scaling
 from tsvalue.forecaster import ForecastInstance, Forecaster, ModelSpec, sliding_instances
 from tsvalue.oracles import build_hessian, exact_influence, loo_linear_oracle, mc_shapley, rank_agreement
 from tsvalue.pipeline import TrainSettings, fit_value_model, run_valuation
-from tsvalue.selection import detection_auroc, finetune_and_eval, inject_corruption, select
+from tsvalue.selection import detection_auroc, inject_corruption, select
 from tsvalue.series import segment_blocks
 from tsvalue.valuation import (
     ValuationConfig,
@@ -213,13 +214,9 @@ def test_criterion_5_selection_trend(corrupted_runs, report):
     finetune = TrainSettings(epochs=15, batch_size=16, learning_rate=0.01)
     same_wins = 0
     for seed, (series, split, labels, model, params, run) in corrupted_runs.items():
-        mse = {}
-        for strategy in ("top", "bottom"):
-            sel = select(run.sample_scores, strategy, 0.5, seed=seed)
-            rep = finetune_and_eval(model, params, sel, list(run.samples),
-                                    series, split, finetune, seed=seed)
-            mse[strategy] = rep.mse
-        same_wins += mse["top"] < mse["bottom"]
+        top, bottom = select_and_evaluate(run, series, split, ("top", "bottom"), (0.5,),
+                                          finetune, seed)
+        same_wins += top.mse < bottom.mse
     assert same_wins >= 4
 
     cross_wins = 0
@@ -229,14 +226,14 @@ def test_criterion_5_selection_trend(corrupted_runs, report):
         value_spec = model.spec
         mlp_spec = ModelSpec("mlp", value_spec.lookback, value_spec.horizon, 1,
                              hidden=16, init_seed=seed)
-        cells = cross_model_generalization(
+        reports = cross_model_generalization(
             series, split, value_spec, mlp_spec, [0.2],
             ValuationConfig(block_length=c["block_length"],
                             stride=c["block_length"], learning_rate=0.1,
                             k_folds=5, seed=seed),
             TrainSettings(epochs=40, batch_size=32, learning_rate=0.01),
             finetune, strategies=("top", "bottom"), seed=seed)
-        mse = {cell.strategy: cell.report.mse for cell in cells}
+        mse = {r.strategy: r.mse for r in reports}
         cross_wins += mse["top"] < mse["bottom"]
     assert cross_wins >= 4
     report(5, "top-valued samples train better models than bottom-valued ones",
@@ -379,15 +376,15 @@ def test_criterion_9_block_length_ablation(report):
                                       range_=(0, split.target_end))
         series = tv.normalize(series, tv.compute_norm_stats(series, split.target_end))
         template = ModelSpec("linear_ar", 40, 10, 1)
-        cells = ablate_block_length(
+        reports = ablate_block_length(
             series, split, lengths, template,
             ValuationConfig(block_length=50, stride=1, learning_rate=0.1,
                             k_folds=5, context_cap=256, seed=seed),
             TrainSettings(epochs=40, batch_size=32, learning_rate=0.01),
             TrainSettings(epochs=15, batch_size=16, learning_rate=0.01),
             ratio=0.2, strategies=("top", "bottom"), seed=seed)
-        for cell in cells:
-            mse[(cell.block_length, cell.strategy)].append(cell.report.mse)
+        for r in reports:
+            mse[(r.model_spec.lookback + r.model_spec.horizon, r.strategy)].append(r.mse)
     wins = sum(np.mean(mse[(length, "top")]) < np.mean(mse[(length, "bottom")])
                for length in lengths)
     assert wins >= 3

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tsvalue import cli, errors, experiments
+from tsvalue import cli, errors
 from tsvalue.cli import _oracle_scores, main
 from tsvalue.config import RunConfig
 from tsvalue.errors import ConfigError
@@ -201,7 +202,6 @@ class TestConfig:
             raise AssertionError("a model was fitted")
 
         monkeypatch.setattr(cli, "fit_value_model", no_fit)
-        monkeypatch.setattr(experiments, "fit_value_model", no_fit)
         capsys.readouterr()  # examples share the fixtures: start each one clean
         shutil.rmtree(tmp_path / "out", ignore_errors=True)
         path, wrong = case
@@ -333,6 +333,22 @@ class TestValue:
         b = json.loads((out2 / "blocks.json").read_text())["blocks"]
         assert a == b
 
+    @pytest.mark.parametrize("command", ["value", "select-eval"])
+    @pytest.mark.parametrize("content, code, kind", [
+        (None, 2, "MissingFile"),
+        ("{not json", 1, "InvalidSpec"),
+        ("[1]", 1, "InvalidSpec"),  # JSON, but not a checkpoint object
+    ])
+    def test_bad_checkpoint_file_fails_with_one_line(self, tmp_path, capsys, command,
+                                                     content, code, kind):
+        ckpt = tmp_path / "ckpt.json"
+        if content is not None:
+            ckpt.write_text(content, encoding="utf-8")
+        path = write_config(tmp_path, {"model": {"checkpoint": str(ckpt)}})
+        assert main([command, "--config", str(path)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"tsvalue: exit={code} kind={kind} ")
+
     def test_detection_report_when_corrupted(self, tmp_path):
         path = write_config(tmp_path, {
             "corruption": {"fraction": 0.2, "magnitude": 0.2, "seed": 5},
@@ -403,6 +419,17 @@ class TestOracleCompare:
         self._fails_before_training(tmp_path, capsys, monkeypatch,
                                     {"valuation": {"block_length": 210}}, 2, "DataError")
 
+    def test_indefinite_hessian_exits_3_naming_the_method(self, tmp_path, capsys):
+        # the trained mlp's empirical Hessian stays indefinite after the default damping
+        path = write_config(tmp_path, {
+            "model": {"architecture": "mlp", "hidden": 5},
+            "oracle_compare": {"methods": ["one_step", "exact_influence"]}})
+        assert main(["oracle-compare", "--config", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith('tsvalue: exit=3 kind=IndefiniteAfterDamping '
+                                 'detail="method=exact_influence: Hessian indefinite')
+
     def test_matrix_covers_all_methods(self, tmp_path):
         path = write_config(tmp_path, {
             "oracle_compare": {"methods": ["one_step", "grad_inner",
@@ -457,7 +484,7 @@ class TestOtherCommands:
     def test_bad_ablation_length_fails_before_any_fit(self, tmp_path, capsys, monkeypatch,
                                                       block_lengths, stride, code, kind):
         fits = []
-        monkeypatch.setattr(experiments, "fit_value_model",
+        monkeypatch.setattr(cli, "fit_value_model",
                             lambda *args, **kw: fits.append(args))
         path = write_config(tmp_path, {
             "valuation": {"stride": stride},
@@ -475,6 +502,43 @@ class TestOtherCommands:
         assert main(["generalize", "--config", str(path)]) == 0
         lines = (tmp_path / "out" / "generalize.csv").read_text().splitlines()
         assert len(lines) == 4  # comment + header + 2 rows
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("ablate", {"model": {"checkpoint": "no_such_model.json"}}),
+        ("generalize", {"model": {"checkpoint": "no_such_model.json"}}),
+        ("generalize", {"downstream_model": {"checkpoint": "no_such_model.json"}}),
+        ("select-eval", {"downstream_model": {"checkpoint": "no_such_model.json"}}),
+    ])
+    def test_unread_checkpoint_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                     command, overrides):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+
+        monkeypatch.setattr(cli, "fit_value_model", no_fit)
+        path = write_config(tmp_path, overrides)
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("tsvalue: exit=1 kind=ConfigError ")
+        assert "checkpoint" in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_select_eval_ablate_and_generalize_share_one_path(self, tmp_path):
+        strategies = ["top", "bottom", "random", "full"]
+        path = write_config(tmp_path, {
+            "selection": {"ratio": 0.5, "strategies": strategies},
+            "ablation": {"block_lengths": [20], "ratio": 0.5, "strategies": strategies},
+            "generalize": {"ratios": [0.5], "strategies": strategies},
+            "downstream_model": {"architecture": "linear_ar", "horizon": 2}})
+        columns = ["strategy", "ratio", "mse", "mae", "n_selected", "n_train_instances"]
+        tables = []
+        for command, name in [("select-eval", "select_eval"), ("ablate", "ablation"),
+                              ("generalize", "generalize")]:
+            assert main([command, "--config", str(path)]) == 0
+            with (tmp_path / "out" / f"{name}.csv").open(encoding="utf-8") as fh:
+                rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+            tables.append([[row[c] for c in columns] for row in rows])
+        assert [row[0] for row in tables[0]] == strategies
+        assert tables[1] == tables[0] and tables[2] == tables[0]
 
     def test_bench_outputs(self, tmp_path):
         path = write_config(tmp_path, {

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from tsvalue import errors
+from tsvalue.cli import ablate_block_length, cross_model_generalization
 from tsvalue.experiments import (
     _openblas_thread_controls,
     _single_threaded_blas,
-    ablate_block_length,
     bench_scaling,
-    cross_model_generalization,
     mlp_spec_for_params,
 )
 from tsvalue.forecaster import Forecaster, ModelSpec
@@ -315,14 +314,14 @@ class TestExperimentHarnesses:
                                         channels=1, noise_std=0.05, seed=3))
         split = split_holdout(series, 0.3, min_target_length=12)
         template = ModelSpec("linear_ar", 10, 2, 1)
-        cells = ablate_block_length(
+        reports = ablate_block_length(
             series, split, [12], template,
             ValuationConfig(block_length=12, stride=12, learning_rate=0.05, k_folds=3),
             TrainSettings(epochs=5, batch_size=16, learning_rate=0.02),
             TrainSettings(epochs=2, batch_size=8, learning_rate=0.01),
             ratio=0.5, strategies=("top", "bottom"), seed=0)
-        assert [(c.block_length, c.strategy) for c in cells] == \
-            [(12, "top"), (12, "bottom")]
+        assert [(r.model_spec.lookback + r.model_spec.horizon, r.strategy)
+                for r in reports] == [(12, "top"), (12, "bottom")]
 
     def test_generalization_identical_specs_reduce_to_pipeline(self):
         series, split, model, params, run, _ = tiny_pipeline(seed=2)
@@ -330,14 +329,14 @@ class TestExperimentHarnesses:
                                  k_folds=3, seed=2)
         pretrain = TrainSettings(epochs=10, batch_size=16, learning_rate=0.02)
         finetune = TrainSettings(epochs=3, batch_size=8, learning_rate=0.01)
-        cells = cross_model_generalization(
+        reports = cross_model_generalization(
             series, split, model.spec, model.spec, [0.5], config,
             pretrain, finetune, strategies=("top",), seed=2)
         sel = select(run.sample_scores, "top", 0.5, seed=2)
         direct = finetune_and_eval(model, params, sel, list(run.samples),
                                    series, split, finetune, seed=2)
-        assert cells[0].report.mse == direct.mse
-        assert cells[0].report.mae == direct.mae
+        assert reports[0].mse == direct.mse
+        assert reports[0].mae == direct.mae
 
     def test_bench_rows_and_param_matching(self):
         report = bench_scaling([300, 1000], methods=("one_step",), n_blocks=16,
