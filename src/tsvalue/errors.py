@@ -50,7 +50,7 @@ class NonNumericCell(DataError):
 class NaNEncountered(DataError):
     def __init__(self, row: int, col: int, reason: str = ""):
         self.row, self.col = row, col
-        msg = f"NaN at row {row}, column {col}"
+        msg = f"non-finite value at row {row}, column {col}"
         super().__init__(msg + (f" ({reason})" if reason else ""))
 
 

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable
+
+import numpy as np
 
 from . import __version__
 from .experiments import BenchReport
@@ -24,8 +27,6 @@ def _doc(config_hash: str, body: dict) -> dict:
 
 
 def write_json(path: Path, config_hash: str, body: dict) -> None:
-    # streamed: the indented encoder yields several chunks per list entry,
-    # and joining them first held ~38 MB for the 56k points of an 80k-step series
     with path.open("w", encoding="utf-8") as fh:
         json.dump(_doc(config_hash, body), fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -45,34 +46,62 @@ def write_csv(path: Path, config_hash: str, header: list[str],
 def write_scores(out_dir: Path, config_hash: str, config_echo: dict,
                  block_scores: list[BlockScore], point_scores: PointScores,
                  sample_scores: SampleScores) -> list[Path]:
-    blocks_path = out_dir / "blocks.json"
-    write_json(blocks_path, config_hash, {
-        "config": config_echo,
-        "blocks": [
-            {"start": b.block.start, "length": b.block.length,
-             "value": b.value, "fold": b.fold_id}
-            for b in block_scores
-        ],
-    })
-    points_path = out_dir / "points.json"
-    write_json(points_path, config_hash, {
-        "config": config_echo,
-        "points": [
-            {"index": i,
-             "value": None if cov == 0 else float(v),
-             "coverage": int(cov)}
-            for i, (v, cov) in enumerate(zip(point_scores.values, point_scores.coverage))
-        ],
-    })
-    samples_path = out_dir / "samples.json"
-    write_json(samples_path, config_hash, {
-        "config": config_echo,
-        "samples": [
-            {"start": w.start, "length": w.length, "value": float(v)}
-            for w, v in zip(sample_scores.windows, sample_scores.values)
-        ],
-    })
-    return [blocks_path, points_path, samples_path]
+    """blocks.json, points.json and samples.json: write_json's bytes, at C speed."""
+    coverage = point_scores.coverage
+    windows = sample_scores.windows
+    paths = [out_dir / f"{key}.json" for key in ("blocks", "points", "samples")]
+    _write_records(paths[0], config_hash, config_echo, "blocks", {
+        "start": map(str, (b.block.start for b in block_scores)),
+        "length": map(str, (b.block.length for b in block_scores)),
+        "value": _floats(np.array([b.value for b in block_scores])),
+        "fold": map(str, (b.fold_id for b in block_scores))})
+    _write_records(paths[1], config_hash, config_echo, "points", {
+        "index": map(str, range(len(coverage))),
+        "value": _floats(point_scores.values, null=coverage == 0),
+        "coverage": map(str, coverage.tolist())})
+    _write_records(paths[2], config_hash, config_echo, "samples", {
+        "start": map(str, (w.start for w in windows)),
+        "length": map(str, (w.length for w in windows)),
+        "value": _floats(sample_scores.values)})
+    return paths
+
+
+# records per write call: bounds the text held at once to a few hundred KB
+_RECORD_CHUNK = 4096
+
+
+def _floats(values: np.ndarray, null: np.ndarray | None = None) -> list[str]:
+    """json.dumps' text of each float (``null`` where the mask is set)."""
+    cells = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)):
+        cells[i] = json.dumps(float(values[i]))  # NaN / Infinity, as json.dump spells them
+    if null is not None:
+        for i in np.flatnonzero(null):
+            cells[i] = "null"
+    return cells
+
+
+def _write_records(path: Path, config_hash: str, config_echo: dict, key: str,
+                   columns: dict[str, Iterable[str]]) -> None:
+    """write_json's bytes for the config echo and a ``key`` list of one record per row of cells.
+
+    json.dumps writes the document around the list, and a %-template over
+    the sorted field names writes each record from its JSON-encoded cells.
+    """
+    doc = json.dumps(_doc(config_hash, {"config": config_echo, key: []}),
+                     sort_keys=True, indent=1)
+    opening = f"\n {json.dumps(key)}: ["
+    head, tail = doc.split(opening + "]")  # the one top-level line at indent 1
+    names = sorted(columns)
+    template = "\n  {" + ",".join(f"\n   {json.dumps(n)}: %s" for n in names) + "\n  }"
+    rows = zip(*(columns[n] for n in names))
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(head + opening)
+        separator = ""
+        while chunk := list(islice(rows, _RECORD_CHUNK)):
+            fh.write(separator + ",".join([template % row for row in chunk]))
+            separator = ","
+        fh.write(("\n ]" if separator else "]") + tail + "\n")
 
 
 _EVAL_HEADER = ["strategy", "ratio", "mse", "mae", "n_selected",

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -47,7 +48,7 @@ class TimeSeries:
             raise ValueError(f"series values must be T x M with T,M >= 1, got shape {values.shape}")
         if not np.isfinite(values).all():
             bad = np.argwhere(~np.isfinite(values))[0]
-            raise NaNEncountered(int(bad[0]), int(bad[1]), "non-finite entry in series")
+            raise NaNEncountered(int(bad[0]), int(bad[1]), "0-based series index")
         if len(self.channel_names) != values.shape[1]:
             raise ValueError(
                 f"{len(self.channel_names)} channel names for {values.shape[1]} channels"
@@ -145,77 +146,123 @@ class IngestOptions:
 def load_csv(path: str | Path, options: IngestOptions = IngestOptions()) -> TimeSeries:
     """Read a UTF-8 comma-separated file with a header row of channel names.
 
-    A leading timestamp column (ISO-8601) is detected either by a
-    conventional header name or by its first data cell not parsing as a
-    number; timestamps are validated strictly increasing, then dropped.
-    NaN cells are rejected unless ``interpolate_nans`` is set, in which
-    case interior NaN runs are filled linearly and NaNs at either end of a
-    channel remain an error.
+    Blank lines and leading ``#`` lines are skipped, and cells may be
+    ``"``-quoted. A leading timestamp column (ISO-8601) is detected either
+    by a conventional header name or by its first data cell not parsing as
+    a number; timestamps are validated strictly increasing, then dropped.
+    Infinite cells are rejected. NaN cells are rejected unless
+    ``interpolate_nans`` is set, in which case interior NaN runs are filled
+    linearly and NaNs at either end of a channel remain an error. Rows and
+    columns in errors count data rows from 1 and file columns from 0.
     """
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
     with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]  # drop blank lines
-    while rows and rows[0][0].lstrip().startswith("#"):
-        rows = rows[1:]  # leading comment lines carry provenance
-    if len(rows) < 2:
+        reader = csv.reader(fh)
+        rows = _data_rows(reader)
+        header = next(rows, None)
+        skip = reader.line_num  # physical lines up to the header; np.loadtxt counts alike
+        first = next(rows, None)
+    if first is None:
         raise NonNumericCell(0, 0, "file has no data rows")
-    header, data_rows = rows[0], rows[1:]
 
     has_timestamps = header[0].strip().lower() in _TIMESTAMP_HEADERS
     if not has_timestamps:
         try:
-            float(data_rows[0][0])
+            float(first[0])
         except ValueError:
             has_timestamps = True
-
-    if has_timestamps:
-        _check_timestamps([r[0] for r in data_rows])
-        header = header[1:]
-        data_rows = [r[1:] for r in data_rows]
-        col_offset = 1
-    else:
-        col_offset = 0
+    col_offset = int(has_timestamps)
+    header = header[col_offset:]
     if not header:
-        raise NonNumericCell(0, 0, "no value columns after timestamp column")
+        _raise_first_fault(path, 0, has_timestamps)
 
-    values = np.empty((len(data_rows), len(header)), dtype=np.float64)
-    for i, row in enumerate(data_rows):
-        if len(row) != len(header):
-            raise NonNumericCell(i + 1, len(row) + col_offset, "row has wrong cell count")
-        for j, cell in enumerate(row):
-            try:
-                values[i, j] = float(cell)
-            except ValueError:
-                raise NonNumericCell(i + 1, j + col_offset, cell) from None
+    # one C-speed pass checks every row's cell count and parses every cell;
+    # only a failing file is read again, to name the offending cell
+    fields = [("stamp", object)] if has_timestamps else []
+    dtype = np.dtype(fields + [("values", np.float64, (len(header),))])
+    try:
+        table = np.loadtxt(path, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                           skiprows=skip, encoding="utf-8", ndmin=1)
+    except ValueError:
+        _raise_first_fault(path, len(header), has_timestamps)
+    if has_timestamps:
+        _check_timestamps(table["stamp"].tolist())
+    values = np.ascontiguousarray(table["values"])
 
-    nan_mask = np.isnan(values)
-    if nan_mask.any():
-        if not options.interpolate_nans:
-            i, j = np.argwhere(nan_mask)[0]
-            raise NaNEncountered(int(i) + 1, int(j) + col_offset)
+    finite = np.isfinite(values)
+    if not finite.all():
+        reject = np.isinf(values) if options.interpolate_nans else ~finite
+        if reject.any():
+            i, j = np.argwhere(reject)[0]
+            raise NaNEncountered(int(i) + 1, int(j) + col_offset,
+                                 "infinite" if np.isinf(values[i, j]) else "NaN")
         values = _interpolate_interior_nans(values, col_offset)
 
     return TimeSeries(values, tuple(h.strip() for h in header), origin=str(path))
 
 
+def _data_rows(reader: Iterable[list[str]]) -> Iterator[list[str]]:
+    """The header and data rows of a csv reader: blank rows and leading # rows dropped."""
+    for row in reader:
+        if row and not row[0].lstrip().startswith("#"):
+            yield row
+            break
+    yield from (row for row in reader if row)
+
+
+def _cell_value(cell: str) -> float:
+    """``float(cell)`` as np.loadtxt reads it: ASCII digits with no ``_`` grouping."""
+    text = cell.strip()
+    if "_" in text or not text.isascii():
+        raise ValueError(cell)
+    return float(text)
+
+
+def _raise_first_fault(path: Path, n_values: int, has_timestamps: bool) -> NoReturn:
+    """Re-read a file the fast path rejected and raise its first fault.
+
+    Faults rank as they always have: timestamps, then a header with no
+    value columns, then rows in order, a row's cell count before its cells.
+    """
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(_data_rows(csv.reader(fh)))[1:]
+    if has_timestamps:
+        _check_timestamps([row[0] for row in rows])
+    if not n_values:
+        raise NonNumericCell(0, 0, "no value columns after timestamp column")
+    col_offset = int(has_timestamps)
+    for i, row in enumerate(rows, 1):
+        if len(row) != n_values + col_offset:
+            raise NonNumericCell(i, len(row), "row has wrong cell count")
+        for j in range(col_offset, len(row)):
+            try:
+                _cell_value(row[j])
+            except ValueError:
+                raise NonNumericCell(i, j, row[j]) from None
+    raise NonNumericCell(0, 0, "rows do not parse as CSV")
+
+
 def _check_timestamps(cells: list[str]) -> None:
-    parsed = []
-    for i, cell in enumerate(cells):
+    """Every cell ISO-8601, all naive or all with an offset, strictly increasing."""
+    prev = None
+    for i, cell in enumerate(cells, 1):
         try:
-            parsed.append(datetime.fromisoformat(cell.strip().replace("Z", "+00:00")))
+            stamp = datetime.fromisoformat(cell.strip().replace("Z", "+00:00"))
         except ValueError:
             raise NonMonotonicTimestamps(
-                f"unparseable ISO-8601 timestamp at row {i + 1}: {cell!r}"
-            ) from None
-    for i in range(1, len(parsed)):
-        if parsed[i] <= parsed[i - 1]:
-            raise NonMonotonicTimestamps(
-                f"timestamps not strictly increasing at row {i + 1}: "
-                f"{cells[i]!r} <= {cells[i - 1]!r}"
-            )
+                f"unparseable ISO-8601 timestamp at row {i}: {cell!r}") from None
+        if prev is not None:
+            if (stamp.tzinfo is None) != (prev.tzinfo is None):
+                raise NonMonotonicTimestamps(
+                    f"timestamp at row {i} mixes naive and UTC-offset forms: "
+                    f"{cell!r} after {cells[i - 2]!r}")
+            if stamp <= prev:
+                raise NonMonotonicTimestamps(
+                    f"timestamps not strictly increasing at row {i}: "
+                    f"{cell!r} <= {cells[i - 2]!r}")
+        prev = stamp
 
 
 def _interpolate_interior_nans(values: np.ndarray, col_offset: int) -> np.ndarray:

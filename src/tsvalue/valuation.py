@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     EmptyContext,
     HorizonTooLong,
+    NonFiniteLoss,
     ShapeMismatch,
     WhollyUnscoredSample,
     require_at_least,
@@ -208,7 +209,8 @@ def score_blocks_batch(model: Forecaster, params: np.ndarray,
     loss is taken for all its tuned rows at once. A chunk of c blocks holds
     c x (n_context x width + P) floats, width being the mlp's hidden size or
     the linear output size; c is the largest count (at least 1) that fits in
-    ``SCORE_CHUNK_FLOATS``.
+    ``SCORE_CHUNK_FLOATS``. A non-finite score, from a step that overflows
+    the loss, raises NonFiniteLoss: no caller gets an inf or a NaN.
     """
     if not context:
         raise EmptyContext("score_blocks_batch needs at least one context instance")
@@ -218,12 +220,17 @@ def score_blocks_batch(model: Forecaster, params: np.ndarray,
     state = OptimizerState.fresh(config.optimizer(), spec.n_params)
     a, y = model.design_matrix(context)
     values = np.empty(len(blocks))
-    for lo in range(0, len(blocks), chunk):
-        grads = model.grad_per_instance(params, blocks[lo:lo + chunk])
-        tuned, _ = optimizer_step(params, grads, state)
-        # row 0 is the untuned params: one kernel call, so a zero step scores 0
-        losses = model.loss_many_params(np.vstack([params, tuned]), a, y)
-        values[lo:lo + chunk] = losses[0] - losses[1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, once
+        for lo in range(0, len(blocks), chunk):
+            grads = model.grad_per_instance(params, blocks[lo:lo + chunk])
+            tuned, _ = optimizer_step(params, grads, state)
+            # row 0 is the untuned params: one kernel call, so a zero step scores 0
+            losses = model.loss_many_params(np.vstack([params, tuned]), a, y)
+            values[lo:lo + chunk] = losses[0] - losses[1:]
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise NonFiniteLoss(f"{bad} of {len(values)} block scores are non-finite; "
+                            f"learning_rate {config.learning_rate:g} overflows the one-step update")
     return values
 
 

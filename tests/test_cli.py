@@ -289,6 +289,29 @@ class TestValue:
         assert main(["value", "--config", str(path)]) == 3
         assert "exit=3" in capsys.readouterr().err
 
+    def test_non_finite_scores_exit_3_before_any_score_file(self, tmp_path):
+        path = write_config(tmp_path, {"valuation": {"learning_rate": 1e200}})
+        proc = subprocess.run([sys.executable, "-m", "tsvalue.cli", "value", "--config", str(path)],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]  # no RuntimeWarning
+        assert proc.stderr.startswith("tsvalue: exit=3 kind=NonFiniteLoss")
+        assert not list((tmp_path / "out").glob("*s.json"))  # blocks, points, samples
+
+    @pytest.mark.parametrize("rows, kind, where", [
+        ("2020-01-01T00:00:00,1\n2020-01-01T00:01:00Z,2\n", "NonMonotonicTimestamps", "row 2"),
+        ("2020-01-01T00:00:00,1\n2020-01-01T00:01:00,-inf\n", "NaNEncountered",
+         "row 2, column 1 (infinite)"),
+    ])
+    def test_bad_timestamps_and_infinite_cells_exit_2(self, tmp_path, capsys, rows, kind, where):
+        data = tmp_path / "data.csv"
+        data.write_text("timestamp,x\n" + rows, encoding="utf-8")
+        path = write_config(tmp_path, {"dataset": {"path": str(data)}})
+        assert main(["value", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"kind={kind}" in err[0] and where in err[0]
+
     def test_rerun_byte_identical(self, tmp_path):
         path = write_config(tmp_path)
         main(["value", "--config", str(path)])
