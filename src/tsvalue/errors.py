@@ -58,6 +58,10 @@ class NonMonotonicTimestamps(DataError):
     pass
 
 
+class NotUtf8(DataError):
+    pass
+
+
 # --- segmentation / splitting ---
 
 class TargetTooShort(DataError):

@@ -9,15 +9,17 @@ Two small architectures stand in for a large pretrained forecaster:
 
 Parameters live in one flat float64 vector so inner products and dense
 Hessians are index-aligned by construction. Loss is mean squared error
-over all H*M target entries. All operations are pure functions of their
-inputs (plus explicit seeds) and safe to run concurrently on shared
-parameter vectors.
+over all H*M target entries. Apart from ``optimizer_step``, which updates
+the params and optimizer state it is given in place, all operations are
+pure functions of their inputs (plus explicit seeds) and safe to run
+concurrently on shared parameter vectors.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +44,8 @@ class ForecastInstance:
 
     A single W x M / H x M pair is promoted to N = 1. Indexing with an int,
     a slice, an index array or a bool mask gives another set; a slice of a
-    sliding-window set stays a view of the series.
+    sliding-window set stays a view of the series. Every constructed set is
+    checked finite; a row subset of a set is read-only and not checked again.
     """
 
     input: np.ndarray
@@ -66,7 +69,16 @@ class ForecastInstance:
         return self.input.shape[0]
 
     def __getitem__(self, index) -> "ForecastInstance":
-        return ForecastInstance(self.input[index], self.target[index])
+        x, y = self.input[index], self.target[index]
+        if x.ndim != 3:  # an int index: one pair, built and checked like any set
+            return ForecastInstance(x, y)
+        # rows of a set that was checked finite when built: no second scan
+        x.setflags(write=False)
+        y.setflags(write=False)
+        rows = object.__new__(ForecastInstance)
+        object.__setattr__(rows, "input", x)
+        object.__setattr__(rows, "target", y)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -202,19 +214,45 @@ class Forecaster:
     # --- gradients ----------------------------------------------------------
 
     def batch_grad(self, params: np.ndarray, instances: ForecastInstance) -> GradientResult:
-        """Gradient of the mean loss over a batch."""
+        """Gradient of the mean loss over a batch.
+
+        The training hot path: it works in place on its own temporaries and
+        writes each layer's gradient straight into the returned P-vector.
+        The arithmetic is that of ``_forward_flat`` and ``np.mean``.
+        """
         if not instances:
             raise EmptyBatch("batch_grad needs at least one instance")
+        s = self.spec
         a, y = self.design_matrix(instances)
-        pred, hidden = self._forward_flat(params, a)
-        r = pred - y
-        loss = float(np.mean(r**2))
-        n = len(instances)
-        dpred = (2.0 / (n * self.spec.out_dim)) * r
-        if self.spec.architecture == "linear_ar":
-            g = (a.T @ dpred).ravel()
+        thetas = self._unpack(params)
+        g = np.empty(s.n_params)
+        if s.architecture == "linear_ar":
+            r = a @ thetas[0]
         else:
-            g = self._mlp_backward(params, a, hidden, dpred, reduce=True)
+            theta1, theta2 = thetas
+            w2 = theta2[: s.hidden]
+            hidden = a @ theta1
+            np.tanh(hidden, out=hidden)
+            r = hidden @ w2
+            if s.bias:
+                r += theta2[s.hidden]
+        r -= y
+        # np.mean's own reduction, so the loss is bitwise np.mean(r**2)
+        loss = float(np.add.reduce(r * r, axis=None) / r.size)
+        r *= 2.0 / r.size  # d loss / d pred
+        if s.architecture == "linear_ar":
+            np.matmul(a.T, r, out=g.reshape(s.in_dim, s.out_dim))
+            return GradientResult(loss=loss, grad=g)
+        split = s.in_dim * s.hidden
+        w2_end = split + s.hidden * s.out_dim
+        np.matmul(hidden.T, r, out=g[split:w2_end].reshape(s.hidden, s.out_dim))
+        if s.bias:
+            np.add.reduce(r, axis=0, out=g[w2_end:])
+        dz = r @ w2.T
+        np.square(hidden, out=hidden)
+        np.subtract(1.0, hidden, out=hidden)  # tanh' = 1 - h**2
+        dz *= hidden
+        np.matmul(a.T, dz, out=g[:split].reshape(s.in_dim, s.hidden))
         return GradientResult(loss=loss, grad=g)
 
     def grad_per_instance(self, params: np.ndarray,
@@ -229,18 +267,12 @@ class Forecaster:
             return np.einsum("nd,no->ndo", a, dpred).reshape(len(instances), -1)
         return self._mlp_backward(params, a, hidden, dpred)
 
-    def _mlp_backward(self, params, a, hidden, dpred, reduce=False):
+    def _mlp_backward(self, params, a, hidden, dpred):
         s = self.spec
         _, theta2 = self._unpack(params)
         w2 = theta2[: s.hidden]
         dhidden = dpred @ w2.T
         dz = dhidden * (1.0 - hidden**2)
-        if reduce:
-            dtheta1 = (a.T @ dz).ravel()
-            dtheta2 = (hidden.T @ dpred).ravel()
-            if s.bias:
-                return np.concatenate([dtheta1, dtheta2, dpred.sum(axis=0)])
-            return np.concatenate([dtheta1, dtheta2])
         n = a.shape[0]
         dtheta1 = np.einsum("nd,nh->ndh", a, dz).reshape(n, -1)
         dtheta2 = np.einsum("nh,no->nho", hidden, dpred).reshape(n, -1)
@@ -368,44 +400,74 @@ class OptimizerConfig:
         return cls(kind=kind, learning_rate=learning_rate)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class OptimizerState:
+    """Mutable state of one optimizer run, shaped like the params it updates.
+
+    Build it with :meth:`fresh`. ``optimizer_step`` advances ``step`` and,
+    for Adam, the moments ``m`` and ``v`` in place, and keeps its
+    temporaries in the two scratch buffers.
+    """
+
     config: OptimizerConfig
     step: int = 0
     m: np.ndarray | None = None  # Adam first moment
     v: np.ndarray | None = None  # Adam second moment
+    scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
-    def fresh(cls, config: OptimizerConfig, n_params: int) -> "OptimizerState":
+    def fresh(cls, config: OptimizerConfig, shape: int | tuple[int, ...]) -> "OptimizerState":
+        """Step 0 for params of ``shape``: P, or B x P to step B param rows at once."""
+        scratch = (np.empty(shape), np.empty(shape))
         if config.kind == "adam":
-            return cls(config=config, step=0, m=np.zeros(n_params), v=np.zeros(n_params))
-        return cls(config=config, step=0)
+            return cls(config, 0, np.zeros(shape), np.zeros(shape), scratch)
+        return cls(config, 0, scratch=scratch)
 
 
-def optimizer_step(params: np.ndarray, grad: np.ndarray,
-                   state: OptimizerState) -> tuple[np.ndarray, OptimizerState]:
-    """One update (per row for B x P grads); returns new params and state, inputs untouched."""
-    if not np.isfinite(grad).all():
-        raise NonFiniteGradient("gradient contains NaN or Inf")
-    cfg = state.config
-    g = grad
+def optimizer_step(params: np.ndarray, grad: np.ndarray, state: OptimizerState) -> None:
+    """One update of ``params`` and ``state`` in place; ``grad`` is only read.
+
+    Rows of a B x P ``params`` step independently, each by its row of
+    ``grad``. A NaN or Inf gradient raises NonFiniteGradient before anything
+    is written. With clipping, each row's gradient is scaled to at most
+    ``clip_norm`` in L2 norm; a row whose squared norm overflows takes a zero
+    gradient. The arithmetic, operation by operation, is that of the
+    textbook SGD and Adam formulas, so results do not depend on the buffers.
+    """
+    cfg, g = state.config, grad
     if cfg.clip_norm is not None:
-        # the same dot product as np.linalg.norm, so 1-D steps are bitwise unchanged
+        # the same dot product as np.linalg.norm, so 1-D steps match it bitwise
         norm = np.sqrt(g[..., None, :] @ g[..., :, None])[..., 0]
-        g = g * (cfg.clip_norm / np.maximum(norm, cfg.clip_norm))
+        largest = norm.max(initial=0.0)  # NaN if any row's norm is
+    # a finite sum of squares has finite terms: scan g only when that is unknown
+    if (cfg.clip_norm is None or not math.isfinite(largest)) and not np.isfinite(g).all():
+        raise NonFiniteGradient("gradient contains NaN or Inf")
+    s1, s2 = state.scratch
+    if cfg.clip_norm is not None and largest > cfg.clip_norm:
+        # rows within the norm are multiplied by exactly 1.0, so unchanged
+        g = np.multiply(g, cfg.clip_norm / np.maximum(norm, cfg.clip_norm), out=s2)
+    state.step += 1
     if cfg.kind == "sgd":
         if cfg.weight_decay:
-            g = g + cfg.weight_decay * params
-        return params - cfg.learning_rate * g, replace(state, step=state.step + 1)
-    step = state.step + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g**2
-    m_hat = m / (1.0 - cfg.beta1**step)
-    v_hat = v / (1.0 - cfg.beta2**step)
-    update = m_hat / (np.sqrt(v_hat) + cfg.eps)
+            g = np.add(g, np.multiply(params, cfg.weight_decay, out=s1), out=s1)
+        params -= np.multiply(g, cfg.learning_rate, out=s1)
+        return
+    m, v = state.m, state.v
+    m *= cfg.beta1
+    m += np.multiply(g, 1.0 - cfg.beta1, out=s1)
+    v *= cfg.beta2
+    np.multiply(g, g, out=s1)
+    s1 *= 1.0 - cfg.beta2
+    v += s1
+    np.divide(v, 1.0 - cfg.beta2**state.step, out=s1)  # v_hat
+    np.sqrt(s1, out=s1)
+    s1 += cfg.eps
+    update = np.divide(m, 1.0 - cfg.beta1**state.step, out=s2)  # m_hat
+    update /= s1
     if cfg.weight_decay:
-        update = update + cfg.weight_decay * params
-    return params - cfg.learning_rate * update, replace(state, step=step, m=m, v=v)
+        update += np.multiply(params, cfg.weight_decay, out=s1)
+    update *= cfg.learning_rate
+    params -= update
 
 
 # --- training ----------------------------------------------------------------
@@ -421,9 +483,9 @@ def train(model: Forecaster, instances: ForecastInstance, epochs: int,
           init_params: np.ndarray | None = None) -> TrainResult:
     """Shuffled mini-batch training, deterministic under seed.
 
-    Starts from ``init_params`` when given (finetuning), otherwise from the
-    model's deterministic init. Aborts with NonFiniteLoss if any batch loss
-    exceeds 1e12.
+    Starts from a copy of ``init_params`` when given (finetuning), otherwise
+    from the model's deterministic init. Aborts with NonFiniteLoss if any
+    batch loss exceeds 1e12.
     """
     if not instances:
         raise EmptyBatch("cannot train on an empty instance set")
@@ -437,10 +499,10 @@ def train(model: Forecaster, instances: ForecastInstance, epochs: int,
         losses = []
         for lo in range(0, n, batch_size):
             result = model.batch_grad(params, instances[order[lo:lo + batch_size]])
-            if not np.isfinite(result.loss) or result.loss > 1e12:
+            if not math.isfinite(result.loss) or result.loss > 1e12:
                 raise NonFiniteLoss(f"training diverged: batch loss {result.loss}")
             losses.append(result.loss)
-            params, state = optimizer_step(params, result.grad, state)
+            optimizer_step(params, result.grad, state)
         epoch_losses.append(float(np.mean(losses)))
     return TrainResult(params=params, epoch_losses=tuple(epoch_losses))
 

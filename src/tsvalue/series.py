@@ -23,6 +23,7 @@ from .errors import (
     NaNEncountered,
     NonMonotonicTimestamps,
     NonNumericCell,
+    NotUtf8,
     SampleLongerThanRange,
     TargetTooShort,
     TooFewSamples,
@@ -153,17 +154,21 @@ def load_csv(path: str | Path, options: IngestOptions = IngestOptions()) -> Time
     Infinite cells are rejected. NaN cells are rejected unless
     ``interpolate_nans`` is set, in which case interior NaN runs are filled
     linearly and NaNs at either end of a channel remain an error. Rows and
-    columns in errors count data rows from 1 and file columns from 0.
+    columns in errors count data rows from 1 and file columns from 0. A
+    file that is not UTF-8 raises NotUtf8, whatever else is wrong with it.
     """
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = _data_rows(reader)
-        header = next(rows, None)
-        skip = reader.line_num  # physical lines up to the header; np.loadtxt counts alike
-        first = next(rows, None)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            rows = _data_rows(reader)
+            header = next(rows, None)
+            skip = reader.line_num  # physical lines up to the header; np.loadtxt counts alike
+            first = next(rows, None)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if first is None:
         raise NonNumericCell(0, 0, "file has no data rows")
 
@@ -185,6 +190,8 @@ def load_csv(path: str | Path, options: IngestOptions = IngestOptions()) -> Time
     try:
         table = np.loadtxt(path, dtype=dtype, delimiter=",", quotechar='"', comments=None,
                            skiprows=skip, encoding="utf-8", ndmin=1)
+    except UnicodeDecodeError:  # a ValueError, but no cell is at fault
+        raise _not_utf8(path) from None
     except ValueError:
         _raise_first_fault(path, len(header), has_timestamps)
     if has_timestamps:
@@ -226,8 +233,11 @@ def _raise_first_fault(path: Path, n_values: int, has_timestamps: bool) -> NoRet
     Faults rank as they always have: timestamps, then a header with no
     value columns, then rows in order, a row's cell count before its cells.
     """
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(_data_rows(csv.reader(fh)))[1:]
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(_data_rows(csv.reader(fh)))[1:]
+    except UnicodeDecodeError:  # past the bytes the fast path read before it failed
+        raise _not_utf8(path) from None
     if has_timestamps:
         _check_timestamps([row[0] for row in rows])
     if not n_values:
@@ -242,6 +252,18 @@ def _raise_first_fault(path: Path, n_values: int, has_timestamps: bool) -> NoRet
             except ValueError:
                 raise NonNumericCell(i, j, row[j]) from None
     raise NonNumericCell(0, 0, "rows do not parse as CSV")
+
+
+def _not_utf8(path: Path) -> NotUtf8:
+    """The error for a file that does not decode as UTF-8, naming its first bad byte."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return NotUtf8(f"{path} is not UTF-8: byte 0x{data[exc.start]:02x} "
+                       f"on line {line} ({exc.reason})")
+    return NotUtf8(f"{path} is not UTF-8")
 
 
 def _check_timestamps(cells: list[str]) -> None:

@@ -116,8 +116,8 @@ def finetune_one_step(model: Forecaster, params: np.ndarray,
                       config: ValuationConfig) -> FinetuneResult:
     """Exactly one optimizer step on the instance loss; caller keeps the originals."""
     g = model.batch_grad(params, instance).grad
-    state = OptimizerState.fresh(config.optimizer(), model.spec.n_params)
-    params_after, _ = optimizer_step(params, g, state)
+    params_after = np.array(params, dtype=np.float64)
+    optimizer_step(params_after, g, OptimizerState.fresh(config.optimizer(), params_after.shape))
     return FinetuneResult(params_after=params_after,
                           delta_norm=float(np.linalg.norm(params_after - params)))
 
@@ -204,28 +204,31 @@ def score_blocks_batch(model: Forecaster, params: np.ndarray,
                        config: ValuationConfig) -> np.ndarray:
     """:func:`block_value` for many blocks against one context set, in chunks.
 
-    The context is stacked once. A chunk's gradients step as the rows of one
-    :func:`optimizer_step` call (SGD or Adam, fresh state), and the context
-    loss is taken for all its tuned rows at once. A chunk of c blocks holds
-    c x (n_context x width + P) floats, width being the mlp's hidden size or
-    the linear output size; c is the largest count (at least 1) that fits in
-    ``SCORE_CHUNK_FLOATS``. A non-finite score, from a step that overflows
-    the loss, raises NonFiniteLoss: no caller gets an inf or a NaN.
+    The context is stacked once. A chunk's gradients step the rows of a
+    chunk-high copy of ``params`` in one :func:`optimizer_step` call (SGD or
+    Adam, fresh state), and the context loss is taken for all its tuned rows
+    at once. A chunk of c blocks holds c x (n_context x width + P) floats,
+    width being the mlp's hidden size or the linear output size; c is the
+    largest count (at least 1) that fits in ``SCORE_CHUNK_FLOATS``. A
+    non-finite score, from a step that overflows the loss, raises
+    NonFiniteLoss: no caller gets an inf or a NaN.
     """
     if not context:
         raise EmptyContext("score_blocks_batch needs at least one context instance")
     spec = model.spec
     width = spec.hidden if spec.architecture == "mlp" else spec.out_dim
     chunk = max(1, SCORE_CHUNK_FLOATS // (len(context) * width + spec.n_params))
-    state = OptimizerState.fresh(config.optimizer(), spec.n_params)
+    optimizer = config.optimizer()
     a, y = model.design_matrix(context)
     values = np.empty(len(blocks))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, once
         for lo in range(0, len(blocks), chunk):
             grads = model.grad_per_instance(params, blocks[lo:lo + chunk])
-            tuned, _ = optimizer_step(params, grads, state)
-            # row 0 is the untuned params: one kernel call, so a zero step scores 0
-            losses = model.loss_many_params(np.vstack([params, tuned]), a, y)
+            # row 0 stays the untuned params: one kernel call, so a zero step scores 0
+            rows = np.empty((len(grads) + 1, spec.n_params))
+            rows[:] = params
+            optimizer_step(rows[1:], grads, OptimizerState.fresh(optimizer, grads.shape))
+            losses = model.loss_many_params(rows, a, y)
             values[lo:lo + chunk] = losses[0] - losses[1:]
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:

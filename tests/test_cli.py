@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tsvalue import cli, errors
+from tsvalue import cli, errors, series
 from tsvalue.cli import _oracle_scores, main
 from tsvalue.config import RunConfig
 from tsvalue.errors import ConfigError
@@ -311,6 +311,40 @@ class TestValue:
         assert main(["value", "--config", str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"kind={kind}" in err[0] and where in err[0]
+
+    # a lone Latin-1 byte where each of the three reads first decodes it: the
+    # header read's first buffer, the np.loadtxt pass, and the re-scan that
+    # names a bad cell (here "x", which np.loadtxt meets before the byte)
+    @pytest.mark.parametrize("content, line, loadtxt_calls, rescans", [
+        (b"x,y\xe9\n1,2\n", 1, 0, 0),
+        (b"x,y\n" + b"1,2\n" * 5000 + b"3,\xe9\n", 5002, 1, 0),
+        (b"x,y\n1,2\n3,x\n" + b"1,2\n" * 50000 + b"3,\xe9\n", 50004, 1, 1),
+    ], ids=["header-read", "loadtxt-pass", "fault-rescan"])
+    def test_non_utf8_csv_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
+                                                  content, line, loadtxt_calls, rescans):
+        calls = {"loadtxt": 0, "rescan": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(series.np, "loadtxt", counted("loadtxt", series.np.loadtxt))
+        monkeypatch.setattr(series, "_raise_first_fault",
+                            counted("rescan", series._raise_first_fault))
+        data = tmp_path / "data.csv"
+        data.write_bytes(content)
+        path = write_config(tmp_path, {"dataset": {"path": str(data)}})
+        assert main(["value", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith('tsvalue: exit=2 kind=NotUtf8 detail="')
+        assert str(data) in err[0] and f"byte 0xe9 on line {line}" in err[0]
+        assert calls == {"loadtxt": loadtxt_calls, "rescan": rescans}
+        assert "training" not in captured.out
+        assert not (tmp_path / "out" / "value_model.json").exists()
 
     def test_rerun_byte_identical(self, tmp_path):
         path = write_config(tmp_path)

@@ -16,6 +16,36 @@ from tsvalue.forecaster import (
 )
 
 from instance_sets import stack
+from train_reference import (
+    ReferenceState,
+    batch_grad_reference,
+    optimizer_step_reference,
+    train_reference,
+)
+
+# SGD and Adam, clipping off and on, weight decay off and on
+OPTIMIZER_GRID = [
+    OptimizerConfig(kind=kind, learning_rate=0.05 if kind == "sgd" else 0.01,
+                    clip_norm=clip, weight_decay=decay)
+    for kind in ("sgd", "adam") for clip in (None, 0.5) for decay in (0.0, 0.1)
+]
+
+
+def optimizer_id(cfg):
+    return f"{cfg.kind}-clip{cfg.clip_norm}-decay{cfg.weight_decay}"
+
+
+# both architectures, bias on and off, M in {1, 3}, H in {1, 2}
+MODEL_GRID = [
+    ModelSpec(arch, 4, horizon, channels, hidden=5 if arch == "mlp" else 0,
+              bias=bias, init_seed=2)
+    for arch in ("linear_ar", "mlp") for bias in (True, False)
+    for channels in (1, 3) for horizon in (1, 2)
+]
+
+
+def spec_id(spec):
+    return f"{spec.architecture}-bias{int(spec.bias)}-M{spec.channels}-H{spec.horizon}"
 
 
 def scalar_model(bias=False):
@@ -155,36 +185,100 @@ class TestOptimizerStep:
     def test_sgd_hand_value(self):
         cfg = OptimizerConfig(kind="sgd", learning_rate=0.1)
         state = OptimizerState.fresh(cfg, 1)
-        params, state = optimizer_step(np.zeros(1), np.array([-4.0]), state)
+        params = np.zeros(1)
+        optimizer_step(params, np.array([-4.0]), state)
         np.testing.assert_allclose(params, [0.4])
         assert state.step == 1
 
     def test_adam_first_step_is_signed_lr(self):
         cfg = OptimizerConfig.default_for("adam", 0.1)
         state = OptimizerState.fresh(cfg, 1)
-        params, _ = optimizer_step(np.zeros(1), np.array([-4.0]), state)
+        params = np.zeros(1)
+        optimizer_step(params, np.array([-4.0]), state)
         np.testing.assert_allclose(params, [0.1], rtol=1e-6)
 
     def test_zero_gradient_keeps_params(self):
         cfg = OptimizerConfig(kind="sgd", learning_rate=0.1)
         state = OptimizerState.fresh(cfg, 3)
-        p0 = np.array([1.0, 2.0, 3.0])
-        params, state = optimizer_step(p0, np.zeros(3), state)
-        np.testing.assert_array_equal(params, p0)
+        params = np.array([1.0, 2.0, 3.0])
+        optimizer_step(params, np.zeros(3), state)
+        np.testing.assert_array_equal(params, [1.0, 2.0, 3.0])
         assert state.step == 1
 
-    def test_nonfinite_gradient(self):
-        cfg = OptimizerConfig(kind="sgd", learning_rate=0.1)
-        state = OptimizerState.fresh(cfg, 1)
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("clip_norm", [None, 1.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_gradient(self, kind, clip_norm, bad):
+        cfg = OptimizerConfig(kind=kind, learning_rate=0.1, clip_norm=clip_norm,
+                              weight_decay=0.1)
+        state = OptimizerState.fresh(cfg, 3)
+        params = np.array([1.0, -2.0, 3.0])
+        optimizer_step(params, np.array([0.5, 0.25, -1.0]), state)
+        before = (params.copy(), state.step,
+                  None if state.m is None else state.m.copy(),
+                  None if state.v is None else state.v.copy())
         with pytest.raises(errors.NonFiniteGradient):
-            optimizer_step(np.zeros(1), np.array([np.nan]), state)
+            optimizer_step(params, np.array([0.5, bad, -1.0]), state)
+        assert params.tobytes() == before[0].tobytes() and state.step == before[1] == 1
+        if kind == "adam":
+            assert state.m.tobytes() == before[2].tobytes()
+            assert state.v.tobytes() == before[3].tobytes()
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_overflowing_norm_takes_the_zero_gradient_step(self, kind):
+        # a finite gradient whose squared norm overflows clips to zero, as it always has
+        cfg = OptimizerConfig(kind=kind, learning_rate=0.1, clip_norm=1.0, weight_decay=0.1)
+        params = np.array([1.0, -2.0, 3.0])
+        grad = np.array([1e200, -1e200, 1.0])
+        state = OptimizerState.fresh(cfg, 3)
+        with np.errstate(over="ignore"):
+            optimizer_step(params, grad, state)
+            want, _ = optimizer_step_reference(np.array([1.0, -2.0, 3.0]), grad,
+                                               ReferenceState.fresh(cfg, 3))
+        assert params.tobytes() == want.tobytes()
+        zero_step = np.array([1.0, -2.0, 3.0])
+        optimizer_step(zero_step, np.zeros(3), OptimizerState.fresh(cfg, 3))
+        assert params.tobytes() == zero_step.tobytes()
+
+    @pytest.mark.parametrize("cfg", OPTIMIZER_GRID, ids=optimizer_id)
+    def test_rows_step_like_single_vectors(self, cfg):
+        rng = np.random.default_rng(4)
+        params = rng.normal(size=(5, 7))
+        grads = rng.normal(size=(5, 7)) * np.array([[0.01], [0.1], [1.0], [3.0], [30.0]])
+        grads_before = grads.copy()
+        rows = params.copy()
+        state = OptimizerState.fresh(cfg, rows.shape)
+        for _ in range(3):
+            optimizer_step(rows, grads, state)
+        assert grads.tobytes() == grads_before.tobytes()  # grad is only read
+        for i in range(5):
+            row = params[i].copy()
+            row_state = OptimizerState.fresh(cfg, 7)
+            for _ in range(3):
+                optimizer_step(row, grads[i], row_state)
+            assert rows[i].tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("cfg", OPTIMIZER_GRID, ids=optimizer_id)
+    def test_matches_the_functional_reference(self, cfg):
+        rng = np.random.default_rng(5)
+        params = rng.normal(size=9)
+        want, ref_state = params.copy(), ReferenceState.fresh(cfg, 9)
+        state = OptimizerState.fresh(cfg, 9)
+        for scale in (0.01, 1.0, 50.0, 0.0, 2.0):
+            g = scale * rng.normal(size=9)
+            optimizer_step(params, g, state)
+            want, ref_state = optimizer_step_reference(want, g, ref_state)
+            assert params.tobytes() == want.tobytes()
+        assert state.step == ref_state.step == 5
 
     def test_clipping_respects_global_norm(self):
         cfg = OptimizerConfig(kind="sgd", learning_rate=1.0, clip_norm=1.0)
         state = OptimizerState.fresh(cfg, 2)
+        params = np.zeros(2)
         g = np.array([3.0, 4.0])  # norm 5 -> clipped to 1
-        params, _ = optimizer_step(np.zeros(2), g, state)
+        optimizer_step(params, g, state)
         np.testing.assert_allclose(np.linalg.norm(params), 1.0)
+        np.testing.assert_array_equal(g, [3.0, 4.0])
 
 
 class TestTrain:
@@ -226,6 +320,54 @@ class TestTrain:
         result = train(m, rand_instances(spec, 6, seed=1), 4, 2,
                        OptimizerConfig(kind="sgd", learning_rate=0.01), seed=0)
         assert len(result.epoch_losses) == 4
+
+
+class TestTrainMatchesReference:
+    """train, batch_grad and the in-place step against the functional reference."""
+
+    @pytest.mark.parametrize("spec", MODEL_GRID, ids=spec_id)
+    def test_batch_grad_bitwise(self, spec):
+        m = Forecaster(spec)
+        insts = rand_instances(spec, 7, seed=3)
+        params = m.init_params() + 0.3 * np.random.default_rng(1).normal(size=spec.n_params)
+        got = m.batch_grad(params, insts)
+        loss, grad = batch_grad_reference(m, params, insts)
+        assert got.loss == loss and got.grad.tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("spec", MODEL_GRID, ids=spec_id)
+    def test_params_and_epoch_losses_bitwise(self, spec):
+        m = Forecaster(spec)
+        insts = rand_instances(spec, 11, seed=3)  # batches of 4: the last holds 3
+        init = m.init_params() + 0.3 * np.random.default_rng(1).normal(size=spec.n_params)
+        for cfg in OPTIMIZER_GRID:
+            for init_params in (None, init):
+                got = train(m, insts, 3, 4, cfg, seed=7, init_params=init_params)
+                want = train_reference(m, insts, 3, 4, cfg, seed=7, init_params=init_params)
+                assert got.params.tobytes() == want.params.tobytes(), optimizer_id(cfg)
+                assert (np.array(got.epoch_losses).tobytes()
+                        == np.array(want.epoch_losses).tobytes()), optimizer_id(cfg)
+
+    def test_zero_epochs_returns_a_copy_of_init_params(self):
+        spec = MODEL_GRID[-1]
+        m = Forecaster(spec)
+        init = np.random.default_rng(1).normal(size=spec.n_params)
+        got = train(m, rand_instances(spec, 5), 0, 2, OPTIMIZER_GRID[-1], seed=0,
+                    init_params=init)
+        assert got.params.tobytes() == init.tobytes() and got.params is not init
+        assert got.epoch_losses == ()
+
+    @pytest.mark.parametrize("cfg", OPTIMIZER_GRID[1::2], ids=optimizer_id)
+    def test_leaves_init_params_and_instances_unchanged(self, cfg):
+        spec = MODEL_GRID[-1]
+        m = Forecaster(spec)
+        insts = rand_instances(spec, 9, seed=4)
+        x, y = insts.input.copy(), insts.target.copy()
+        init = np.random.default_rng(1).normal(size=spec.n_params)
+        before = init.copy()
+        result = train(m, insts, 2, 4, cfg, seed=0, init_params=init)
+        assert init.tobytes() == before.tobytes()
+        assert insts.input.tobytes() == x.tobytes() and insts.target.tobytes() == y.tobytes()
+        assert result.params.tobytes() != before.tobytes()
 
 
 class TestDescentProperty:
@@ -353,6 +495,13 @@ class TestForecastInstance:
         assert isinstance(part, ForecastInstance) and len(part) == len(rows)
         np.testing.assert_array_equal(part.input, self.x[rows])
         np.testing.assert_array_equal(part.target, self.y[rows])
+        assert not (part.input.flags.writeable or part.target.flags.writeable)
+
+    def test_row_subsets_are_not_scanned_again(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(ForecastInstance, "__post_init__", lambda inst: built.append(inst))
+        parts = [self.insts[1:4], self.insts[np.array([5, 0])], self.insts[self.x[:, 0, 0] > 0]]
+        assert built == [] and [len(p) for p in parts] == [3, 2, int((self.x[:, 0, 0] > 0).sum())]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_raises(self, bad):

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tsvalue import errors
-from tsvalue.cli import ablate_block_length, cross_model_generalization
+from tsvalue.cli import ablate_block_length, cross_model_generalization, select_and_evaluate
 from tsvalue.experiments import (
     _openblas_thread_controls,
     _single_threaded_blas,
@@ -337,6 +339,17 @@ class TestExperimentHarnesses:
                                    series, split, finetune, seed=2)
         assert reports[0].mse == direct.mse
         assert reports[0].mae == direct.mae
+
+    def test_select_and_evaluate_reruns_identically(self):
+        # every finetune starts from run.params, which training must leave as it was
+        series, split, model, params, run, _ = tiny_pipeline(seed=3)
+        before = run.params.copy()
+        finetune = TrainSettings(epochs=3, batch_size=8, learning_rate=0.01)
+        first, second = (select_and_evaluate(run, series, split, ("top", "bottom", "random"),
+                                             (0.5,), finetune, seed=3) for _ in range(2))
+        assert [replace(r, wall_time=0.0) for r in first] == [replace(r, wall_time=0.0)
+                                                              for r in second]
+        assert run.params.tobytes() == before.tobytes()
 
     def test_bench_rows_and_param_matching(self):
         report = bench_scaling([300, 1000], methods=("one_step",), n_blocks=16,

@@ -24,6 +24,7 @@ from tsvalue.valuation import (
 )
 
 from instance_sets import stack
+from train_reference import score_blocks_batch_reference
 
 
 def scalar_model():
@@ -76,6 +77,15 @@ class TestFinetuneOneStep:
         params = np.array([2.0])  # w=2 predicts y=2 for x=1 exactly
         result = finetune_one_step(m, params, scalar_instance(1, 2), cfg(lr=0.1))
         np.testing.assert_array_equal(result.params_after, params)
+
+    @pytest.mark.parametrize("optimizer_kind", ["sgd", "adam"])
+    def test_leaves_params_unchanged(self, optimizer_kind):
+        m = scalar_model()
+        params = np.array([0.5])
+        result = finetune_one_step(m, params, scalar_instance(1, 2),
+                                   cfg(lr=0.1, optimizer_kind=optimizer_kind))
+        np.testing.assert_array_equal(params, [0.5])
+        assert result.params_after[0] != 0.5
 
     def test_delta_norm_is_lr_times_grad_norm_for_sgd(self):
         spec = ModelSpec("linear_ar", 3, 1, 1)
@@ -298,6 +308,27 @@ class TestScoreBlocksBatch:
         fast = score_blocks_batch(m, params, blocks, ctx, config)
         slow = [block_value(m, params, b, ctx, config) for b in blocks]
         np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("optimizer_kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("architecture", ["linear_ar", "mlp"])
+    def test_bitwise_equal_to_the_functional_step_and_params_untouched(
+            self, monkeypatch, architecture, optimizer_kind):
+        monkeypatch.setattr(valuation, "SCORE_CHUNK_FLOATS", 200)  # several chunks, one partial
+        spec = ModelSpec(architecture, 5, 1, 1, hidden=6, init_seed=0)
+        m = Forecaster(spec)
+        rng = np.random.default_rng(9)
+        params = m.init_params() + 0.1 * rng.normal(size=spec.n_params)
+        before = params.copy()
+        blocks = stack(ForecastInstance(3 * rng.normal(size=(5, 1)), rng.normal(size=(1, 1)))
+                       for _ in range(11))
+        ctx = stack(ForecastInstance(rng.normal(size=(5, 1)), rng.normal(size=(1, 1)))
+                    for _ in range(7))
+        config = ValuationConfig(block_length=6, learning_rate=1e-3,
+                                 optimizer_kind=optimizer_kind)
+        got = score_blocks_batch(m, params, blocks, ctx, config)
+        assert params.tobytes() == before.tobytes()
+        want = score_blocks_batch_reference(m, params, blocks, ctx, config)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAggregatePoints:
