@@ -42,7 +42,6 @@ from .selection import (
     select,
 )
 from .series import (
-    Block,
     FoldPlan,
     HoldoutSplit,
     NormStats,
@@ -59,7 +58,7 @@ from .series import (
 )
 from .synthetic import SyntheticSpec, generate
 from .valuation import (
-    BlockScore,
+    BlockScores,
     FinetuneResult,
     PointScores,
     SampleScores,

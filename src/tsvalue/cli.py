@@ -39,7 +39,6 @@ from .selection import (
     select,
 )
 from .series import (
-    Block,
     HoldoutSplit,
     TimeSeries,
     compute_norm_stats,
@@ -237,11 +236,11 @@ def cmd_value(cfg: RunConfig, out_dir: Path) -> None:
     paths = write_scores(out_dir, cfg.config_hash, cfg.normalized(),
                          run.block_scores, run.point_scores, run.sample_scores)
     if prep.labels is not None:
-        blocks = [s.block for s in run.block_scores]
-        flags = prep.labels.for_blocks(blocks)
+        blocks = run.block_scores
+        flags = prep.labels.for_blocks(blocks.starts, blocks.length)
         doc = {"n_blocks": len(blocks), "n_corrupted": int(flags.sum())}
         if 0 < flags.sum() < len(blocks):
-            doc["auroc"] = detection_auroc(run.block_scores, flags)
+            doc["auroc"] = detection_auroc(blocks.values, flags)
         write_json(out_dir / "detection.json", cfg.config_hash, doc)
     for p in paths:
         print(f"tsvalue: wrote {p}")
@@ -263,11 +262,12 @@ def cmd_select_eval(cfg: RunConfig, out_dir: Path) -> None:
 def cmd_oracle_compare(cfg: RunConfig, out_dir: Path) -> None:
     prep = _prepare(cfg)
     oc = cfg.oracle_compare
-    scored, context_blocks = _oracle_blocks(cfg, prep.target.length)
+    scored, context = _oracle_blocks(cfg, prep.target.length)
     model, params = _value_model(cfg, prep.target)
     horizon = model.spec.horizon
-    scored_insts = block_instances(prep.target, scored, horizon)
-    context_insts = block_instances(prep.target, context_blocks, horizon)
+    length = cfg.valuation.block_length
+    scored_insts = block_instances(prep.target, scored, length, horizon)
+    context_insts = block_instances(prep.target, context, length, horizon)
 
     train_insts = sliding_instances(prep.target.values, model.spec.lookback,
                                     horizon, stride=1)
@@ -300,21 +300,22 @@ def cmd_oracle_compare(cfg: RunConfig, out_dir: Path) -> None:
     print(f"tsvalue: wrote {out_dir / 'oracle_compare.json'}")
 
 
-def _oracle_blocks(cfg: RunConfig, t_target: int) -> tuple[list[Block], list[Block]]:
-    """Scored and context blocks (alternate blocks of the target), checked before training."""
+def _oracle_blocks(cfg: RunConfig, t_target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts of the scored and context blocks (alternate blocks of the target),
+    checked before training."""
     oc = cfg.oracle_compare
     length = cfg.valuation.block_length
     stride = oc.stride
     if stride is None:
         stride = max(1, (t_target - length) // max(1, 2 * oc.max_blocks - 1))
-    blocks = segment_blocks((0, t_target), length, stride)
-    scored = blocks[0::2][:oc.max_blocks]
-    context_blocks = blocks[1::2][:oc.context_cap]
-    if not scored or not context_blocks:
+    starts = segment_blocks((0, t_target), length, stride)
+    scored = starts[0::2][:oc.max_blocks]
+    context = starts[1::2][:oc.context_cap]
+    if not len(scored) or not len(context):
         raise DataError("target split too short to form scored and context block sets")
     if "shapley" in oc.methods and oc.shapley_mode == "enumerate":
         check_enumerable(len(scored))
-    return scored, context_blocks
+    return scored, context
 
 
 def _oracle_scores(method: str, cfg: RunConfig, model, params,

@@ -23,7 +23,7 @@ from .forecaster import (
 )
 from .series import SampleWindow, TimeSeries, enumerate_samples
 from .valuation import (
-    BlockScore,
+    BlockScores,
     PointScores,
     SampleScores,
     ValuationConfig,
@@ -54,7 +54,7 @@ class TrainSettings:
 class ValuationRun:
     model: Forecaster
     params: np.ndarray
-    block_scores: list[BlockScore]
+    block_scores: BlockScores
     point_scores: PointScores
     sample_scores: SampleScores
 

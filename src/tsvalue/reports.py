@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .experiments import BenchReport
 from .selection import EvalReport
-from .valuation import BlockScore, PointScores, SampleScores
+from .valuation import BlockScores, PointScores, SampleScores
 
 
 def _doc(config_hash: str, body: dict) -> dict:
@@ -44,17 +44,17 @@ def write_csv(path: Path, config_hash: str, header: list[str],
 
 
 def write_scores(out_dir: Path, config_hash: str, config_echo: dict,
-                 block_scores: list[BlockScore], point_scores: PointScores,
+                 block_scores: BlockScores, point_scores: PointScores,
                  sample_scores: SampleScores) -> list[Path]:
     """blocks.json, points.json and samples.json: write_json's bytes, at C speed."""
     coverage = point_scores.coverage
     windows = sample_scores.windows
     paths = [out_dir / f"{key}.json" for key in ("blocks", "points", "samples")]
     _write_records(paths[0], config_hash, config_echo, "blocks", {
-        "start": map(str, (b.block.start for b in block_scores)),
-        "length": map(str, (b.block.length for b in block_scores)),
-        "value": _floats(np.array([b.value for b in block_scores])),
-        "fold": map(str, (b.fold_id for b in block_scores))})
+        "start": map(str, block_scores.starts.tolist()),
+        "length": [str(block_scores.length)] * len(block_scores),
+        "value": _floats(block_scores.values),
+        "fold": map(str, block_scores.folds.tolist())})
     _write_records(paths[1], config_hash, config_echo, "points", {
         "index": map(str, range(len(coverage))),
         "value": _floats(point_scores.values, null=coverage == 0),

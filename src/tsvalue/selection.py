@@ -24,8 +24,8 @@ from .errors import (
 from .forecaster import ForecastInstance, Forecaster, ModelSpec, sliding_instances, train
 from .oracles import average_ranks
 from .pipeline import TrainSettings
-from .series import Block, HoldoutSplit, SampleWindow, TimeSeries
-from .valuation import BlockScore, SampleScores
+from .series import HoldoutSplit, SampleWindow, TimeSeries
+from .valuation import SampleScores
 
 STRATEGIES = ("top", "bottom", "random", "full")
 CORRUPTION_KINDS = ("gaussian_burst", "level_shift", "constant_hold")
@@ -69,17 +69,17 @@ class CorruptionLabels:
         return tuple((s, self.block_length)
                      for s, c in zip(self.tile_starts, self.corrupted) if c)
 
-    def for_blocks(self, blocks: list[Block], min_overlap: float = 0.5) -> np.ndarray:
-        """Label arbitrary blocks: corrupted when >= min_overlap of their
-        indices fall inside corrupted regions."""
-        flags = np.zeros(len(blocks), dtype=bool)
-        for i, b in enumerate(blocks):
-            covered = 0
-            for start, length in self.regions:
-                lo, hi = max(b.start, start), min(b.stop, start + length)
-                covered += max(0, hi - lo)
-            flags[i] = covered >= min_overlap * b.length
-        return flags
+    def for_blocks(self, starts: np.ndarray, length: int,
+                   min_overlap: float = 0.5) -> np.ndarray:
+        """Label blocks [start, start + length): corrupted when >= min_overlap
+        of their indices fall inside corrupted regions."""
+        starts = np.asarray(starts, dtype=np.int64)
+        stops = starts + length
+        in_region = np.zeros(stops.max(initial=0), dtype=np.int64)
+        for start, tile_length in self.regions:  # disjoint tiles: each index counts once
+            in_region[start:start + tile_length] = 1
+        covered = np.concatenate(([0], np.cumsum(in_region)))
+        return covered[stops] - covered[starts] >= min_overlap * length
 
 
 def select(scores: SampleScores, strategy: str, ratio: float, seed: int = 0) -> SelectionResult:
@@ -195,15 +195,12 @@ def inject_corruption(series: TimeSeries, fraction: float, kind: str,
     return TimeSeries(values, series.channel_names, series.origin + "+corrupted"), labels
 
 
-def detection_auroc(scores: list[BlockScore] | np.ndarray, labels: np.ndarray) -> float:
+def detection_auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     """AUROC of (-value) as a corruption detector (low value => corrupted).
 
     Rank statistic with average-rank tie correction.
     """
-    if len(scores) and isinstance(scores[0], BlockScore):
-        values = np.asarray([s.value for s in scores], dtype=np.float64)
-    else:
-        values = np.asarray(scores, dtype=np.float64)
+    values = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=bool)
     if values.shape != y.shape:
         raise LengthMismatch(f"{values.shape[0]} scores vs {y.shape[0]} labels")

@@ -75,22 +75,6 @@ class TimeSeries:
 
 
 @dataclass(frozen=True)
-class Block:
-    """Index window [start, start+length) used as one valuation unit."""
-
-    start: int
-    length: int
-
-    def __post_init__(self):
-        if self.start < 0 or self.length < 2:
-            raise ValueError(f"block needs start >= 0 and length >= 2, got {self}")
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.length
-
-
-@dataclass(frozen=True)
 class SampleWindow:
     """Non-overlapping index window [start, start+length); the selection unit."""
 
@@ -139,23 +123,16 @@ class NormStats:
     constant_channels: tuple[int, ...] = field(default=())
 
 
-@dataclass(frozen=True)
-class IngestOptions:
-    interpolate_nans: bool = False
-
-
-def load_csv(path: str | Path, options: IngestOptions = IngestOptions()) -> TimeSeries:
+def load_csv(path: str | Path) -> TimeSeries:
     """Read a UTF-8 comma-separated file with a header row of channel names.
 
     Blank lines and leading ``#`` lines are skipped, and cells may be
     ``"``-quoted. A leading timestamp column (ISO-8601) is detected either
     by a conventional header name or by its first data cell not parsing as
     a number; timestamps are validated strictly increasing, then dropped.
-    Infinite cells are rejected. NaN cells are rejected unless
-    ``interpolate_nans`` is set, in which case interior NaN runs are filled
-    linearly and NaNs at either end of a channel remain an error. Rows and
-    columns in errors count data rows from 1 and file columns from 0. A
-    file that is not UTF-8 raises NotUtf8, whatever else is wrong with it.
+    NaN and infinite cells are rejected. Rows and columns in errors count
+    data rows from 1 and file columns from 0. A file that is not UTF-8
+    raises NotUtf8, whatever else is wrong with it.
     """
     path = Path(path)
     if not path.exists():
@@ -200,12 +177,9 @@ def load_csv(path: str | Path, options: IngestOptions = IngestOptions()) -> Time
 
     finite = np.isfinite(values)
     if not finite.all():
-        reject = np.isinf(values) if options.interpolate_nans else ~finite
-        if reject.any():
-            i, j = np.argwhere(reject)[0]
-            raise NaNEncountered(int(i) + 1, int(j) + col_offset,
-                                 "infinite" if np.isinf(values[i, j]) else "NaN")
-        values = _interpolate_interior_nans(values, col_offset)
+        i, j = np.argwhere(~finite)[0]
+        raise NaNEncountered(int(i) + 1, int(j) + col_offset,
+                             "infinite" if np.isinf(values[i, j]) else "NaN")
 
     return TimeSeries(values, tuple(h.strip() for h in header), origin=str(path))
 
@@ -287,22 +261,6 @@ def _check_timestamps(cells: list[str]) -> None:
         prev = stamp
 
 
-def _interpolate_interior_nans(values: np.ndarray, col_offset: int) -> np.ndarray:
-    out = values.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nan = np.isnan(col)
-        if not nan.any():
-            continue
-        if nan[0]:
-            raise NaNEncountered(1, j + col_offset, "leading NaN cannot be interpolated")
-        if nan[-1]:
-            raise NaNEncountered(len(col), j + col_offset, "trailing NaN cannot be interpolated")
-        idx = np.arange(len(col))
-        col[nan] = np.interp(idx[nan], idx[~nan], col[~nan])
-    return out
-
-
 def split_holdout(series: TimeSeries, test_fraction: float,
                   min_target_length: int = 2) -> HoldoutSplit:
     """Chronological split: first ceil(T*(1-f)) steps are the target, rest is test."""
@@ -317,16 +275,20 @@ def split_holdout(series: TimeSeries, test_fraction: float,
     return HoldoutSplit(target_end=target_end, total=t)
 
 
-def segment_blocks(range_: tuple[int, int], length: int, stride: int = 1) -> list[Block]:
-    """Blocks of `length` starting every `stride` steps while they fit in the range."""
+def segment_blocks(range_: tuple[int, int], length: int, stride: int = 1) -> np.ndarray:
+    """Int64 starts of the `length`-step blocks that begin every `stride` steps
+    while they fit in the range; block i covers [starts[i], starts[i] + length)."""
     begin, end = range_
+    if begin < 0 or length < 2:
+        raise ValueError(f"blocks need start >= 0 and length >= 2, got range {range_}, "
+                         f"length {length}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if length > end - begin:
         raise BlockLongerThanRange(
             f"block length {length} exceeds range length {end - begin}"
         )
-    return [Block(s, length) for s in range(begin, end - length + 1, stride)]
+    return np.arange(begin, end - length + 1, stride, dtype=np.int64)
 
 
 def enumerate_samples(range_: tuple[int, int], sample_length: int) -> list[SampleWindow]:

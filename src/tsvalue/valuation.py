@@ -36,7 +36,6 @@ from .forecaster import (
     sliding_instances,
 )
 from .series import (
-    Block,
     SampleWindow,
     TimeSeries,
     enumerate_samples,
@@ -76,10 +75,16 @@ class FinetuneResult:
 
 
 @dataclass(frozen=True)
-class BlockScore:
-    block: Block
-    value: float
-    fold_id: int
+class BlockScores:
+    """Scored blocks: block i is [starts[i], starts[i] + length)."""
+
+    starts: np.ndarray  # int64; value_all_blocks gives them ascending
+    values: np.ndarray
+    folds: np.ndarray  # fold id per block
+    length: int
+
+    def __len__(self) -> int:
+        return len(self.starts)
 
 
 @dataclass(frozen=True)
@@ -100,15 +105,13 @@ class SampleScores:
     coverage_fraction: np.ndarray | None = None
 
 
-def block_instances(series: TimeSeries, blocks: list[Block], horizon: int) -> ForecastInstance:
-    """Each block split into (first L-H steps -> last H steps), stacked in block order."""
-    length = blocks[0].length
+def block_instances(series: TimeSeries, starts: np.ndarray, length: int,
+                    horizon: int) -> ForecastInstance:
+    """Each block [start, start + length) split into (first L-H steps -> last H
+    steps), stacked in the order of ``starts``."""
     if horizon >= length:
         raise HorizonTooLong(f"horizon {horizon} must be < block length {length}")
-    if any(b.length != length for b in blocks):
-        raise ShapeMismatch("blocks of one instance set must share a length")
-    return sliding_instances(series.values, length - horizon, horizon,
-                             starts=np.array([b.start for b in blocks]))
+    return sliding_instances(series.values, length - horizon, horizon, starts=starts)
 
 
 def finetune_one_step(model: Forecaster, params: np.ndarray,
@@ -148,7 +151,7 @@ def grad_inner_influence(model: Forecaster, params: np.ndarray,
 
 
 def value_all_blocks(series: TimeSeries, model: Forecaster, params: np.ndarray,
-                     config: ValuationConfig) -> list[BlockScore]:
+                     config: ValuationConfig) -> BlockScores:
     """Score every block of the (target-split) series under the fold protocol.
 
     Samples are folded with the config seed; a block belongs to the fold of
@@ -165,7 +168,7 @@ def value_all_blocks(series: TimeSeries, model: Forecaster, params: np.ndarray,
             f"must equal block length {config.block_length}"
         )
     t = series.length
-    blocks = segment_blocks((0, t), config.block_length, config.stride)
+    starts = segment_blocks((0, t), config.block_length, config.stride)
     sample_len = config.effective_sample_length
     samples = enumerate_samples((0, t), sample_len)
     folds = make_folds(len(samples), config.k_folds, config.seed)
@@ -173,11 +176,9 @@ def value_all_blocks(series: TimeSeries, model: Forecaster, params: np.ndarray,
     # the blocks are the stride-th windows from 0, so one view holds them all
     instances = sliding_instances(series.values, model.spec.lookback, horizon,
                                   stride=config.stride)
-    block_folds = np.array([
-        folds.assignment[min(b.start // sample_len, len(samples) - 1)] for b in blocks
-    ])
+    block_folds = folds.assignment[np.minimum(starts // sample_len, len(samples) - 1)]
 
-    values = np.empty(len(blocks))
+    values = np.empty(len(starts))
     for fold_id in range(config.k_folds):
         in_fold = block_folds == fold_id
         ctx_idx = np.flatnonzero(~in_fold)
@@ -188,8 +189,8 @@ def value_all_blocks(series: TimeSeries, model: Forecaster, params: np.ndarray,
             ctx_idx = np.sort(rng.choice(ctx_idx, size=config.context_cap, replace=False))
         values[in_fold] = score_blocks_batch(model, params, instances[in_fold],
                                              instances[ctx_idx], config)
-    return [BlockScore(block=b, value=float(v), fold_id=int(f))
-            for b, v, f in zip(blocks, values, block_folds)]
+    return BlockScores(starts=starts, values=values, folds=block_folds,
+                       length=config.block_length)
 
 
 # Working-set cap of one scoring chunk, in float64 values (512 KiB). At 1 MiB,
@@ -237,13 +238,13 @@ def score_blocks_batch(model: Forecaster, params: np.ndarray,
     return values
 
 
-def aggregate_points(block_scores: list[BlockScore], t_target: int) -> PointScores:
+def aggregate_points(blocks: BlockScores, t_target: int) -> PointScores:
     """Per-index mean of the values of all covering blocks."""
     total = np.zeros(t_target)
     coverage = np.zeros(t_target, dtype=np.int64)
-    for bs in block_scores:
-        total[bs.block.start:bs.block.stop] += bs.value
-        coverage[bs.block.start:bs.block.stop] += 1
+    for start, value in zip(blocks.starts.tolist(), blocks.values.tolist()):
+        total[start:start + blocks.length] += value
+        coverage[start:start + blocks.length] += 1
     values = np.full(t_target, np.nan)
     scored = coverage > 0
     values[scored] = total[scored] / coverage[scored]
@@ -252,8 +253,10 @@ def aggregate_points(block_scores: list[BlockScore], t_target: int) -> PointScor
 
 def check_coverage(length: int, config: ValuationConfig) -> None:
     """Raise WhollyUnscoredSample, before any training, if a sample would get no scored point."""
-    blocks = segment_blocks((0, length), config.block_length, config.stride)
-    points = aggregate_points([BlockScore(b, 0.0, 0) for b in blocks], length)
+    starts = segment_blocks((0, length), config.block_length, config.stride)
+    unscored = BlockScores(starts, np.zeros(len(starts)), np.zeros_like(starts),
+                           config.block_length)
+    points = aggregate_points(unscored, length)
     aggregate_samples(points, enumerate_samples((0, length), config.effective_sample_length))
 
 

@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from tsvalue.errors import MissingFile, NaNEncountered, NonMonotonicTimestamps, NonNumericCell
-from tsvalue.series import IngestOptions, TimeSeries, _interpolate_interior_nans
+from tsvalue.series import TimeSeries
 
 _TIMESTAMP_HEADERS = {"timestamp", "time", "date", "datetime"}
 
 
-def load_csv_reference(path, options: IngestOptions = IngestOptions()) -> TimeSeries:
+def load_csv_reference(path) -> TimeSeries:
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
@@ -62,14 +62,10 @@ def load_csv_reference(path, options: IngestOptions = IngestOptions()) -> TimeSe
             except ValueError:
                 raise NonNumericCell(i + 1, j + col_offset, cell) from None
 
-    inf_mask = np.isinf(values)
-    nan_mask = np.isnan(values)
-    reject = inf_mask if options.interpolate_nans else inf_mask | nan_mask
+    reject = ~np.isfinite(values)
     if reject.any():
         i, j = np.argwhere(reject)[0]
         raise NaNEncountered(int(i) + 1, int(j) + col_offset)
-    if nan_mask.any():
-        values = _interpolate_interior_nans(values, col_offset)
 
     return TimeSeries(values, tuple(h.strip() for h in header), origin=str(path))
 

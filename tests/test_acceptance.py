@@ -120,10 +120,10 @@ def test_criterion_2_oracle_fidelity(report):
     model, params = fit_value_model(
         target, spec, TrainSettings(epochs=150, batch_size=32, learning_rate=0.01), seed)
     stride = max(1, (target.length - length) // 99)
-    blocks = segment_blocks((0, target.length), length, stride)
-    scored = block_instances(target, blocks[0::2][:50], horizon)
+    starts = segment_blocks((0, target.length), length, stride)
+    scored = block_instances(target, starts[0::2][:50], length, horizon)
     assert len(scored) == 50
-    ctx = block_instances(target, blocks[1::2][:50], horizon)
+    ctx = block_instances(target, starts[1::2][:50], length, horizon)
     config = ValuationConfig(block_length=length, learning_rate=1e-5)
     one_step = [block_value(model, params, b, ctx, config) for b in scored]
     grad_inner = [grad_inner_influence(model, params, b, ctx, 1e-5) for b in scored]
@@ -200,8 +200,9 @@ def test_criterion_4_corruption_detection(corrupted_runs, report):
     start = time.perf_counter()
     aurocs = []
     for seed, (series, split, labels, model, params, run) in corrupted_runs.items():
-        flags = labels.for_blocks([s.block for s in run.block_scores])
-        aurocs.append(detection_auroc(run.block_scores, flags))
+        blocks = run.block_scores
+        flags = labels.for_blocks(blocks.starts, blocks.length)
+        aurocs.append(detection_auroc(blocks.values, flags))
     mean_auroc = float(np.mean(aurocs))
     assert mean_auroc >= 0.8
     report(4, "corrupted blocks rank below clean blocks",
@@ -335,9 +336,9 @@ def test_criterion_8_determinism_and_invariants(tmp_path, report):
         assert base.chosen == warped.chosen
 
     # constant-score aggregation fixpoint
-    from tsvalue.series import Block
-    from tsvalue.valuation import BlockScore
-    scores = [BlockScore(Block(s, 5), 0.42, 0) for s in range(16)]
+    from tsvalue.valuation import BlockScores
+    scores = BlockScores(starts=np.arange(16), values=np.full(16, 0.42),
+                         folds=np.zeros(16, dtype=np.int64), length=5)
     points = aggregate_points(scores, 20)
     np.testing.assert_allclose(points.values[points.scored_mask()], 0.42)
     samples = aggregate_samples(points, [SampleWindow(0, 10), SampleWindow(10, 10)])

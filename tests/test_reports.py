@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tsvalue.reports import _doc, write_scores
-from tsvalue.series import Block, SampleWindow
-from tsvalue.valuation import BlockScore, PointScores, SampleScores
+from tsvalue.series import SampleWindow
+from tsvalue.valuation import BlockScores, PointScores, SampleScores
 
 CONFIG = {"valuation": {"block_length": 2, "learning_rate": 1e-5}, "name": "café"}
 
@@ -23,7 +23,8 @@ def score_set(values, coverage):
     """Blocks, points and samples that carry ``values`` (one record each, or none)."""
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
-    blocks = [BlockScore(Block(2 * i, 2), float(v), i % 3) for i, v in enumerate(values)]
+    blocks = BlockScores(starts=2 * np.arange(n), values=values, folds=np.arange(n) % 3,
+                         length=2)
     points = PointScores(values=np.where(np.asarray(coverage) > 0, values, np.nan),
                          coverage=np.asarray(coverage, dtype=np.int64))
     samples = SampleScores(windows=tuple(SampleWindow(2 * i, 2) for i in range(n)),
@@ -49,8 +50,8 @@ def test_score_files_equal_json_dump(tmp_path, case):
     assert [p.name for p in paths] == ["blocks.json", "points.json", "samples.json"]
     bodies = [
         {"config": CONFIG, "blocks": [
-            {"start": b.block.start, "length": b.block.length, "value": b.value,
-             "fold": b.fold_id} for b in blocks]},
+            {"start": 2 * i, "length": 2, "value": float(v), "fold": i % 3}
+            for i, v in enumerate(blocks.values)]},
         {"config": CONFIG, "points": [
             {"index": i, "value": None if cov == 0 else float(v), "coverage": int(cov)}
             for i, (v, cov) in enumerate(zip(points.values, points.coverage))]},
@@ -70,5 +71,5 @@ def test_long_lists_span_write_chunks(tmp_path, monkeypatch):
     doc = json.loads(paths[1].read_text(encoding="utf-8"))
     assert [p["value"] for p in doc["points"]] == values.tolist()
     assert paths[0].read_bytes() == json_dump_bytes(tmp_path, "h", {"config": {}, "blocks": [
-        {"start": b.block.start, "length": 2, "value": b.value, "fold": b.fold_id}
-        for b in blocks]})
+        {"start": 2 * i, "length": 2, "value": float(v), "fold": i % 3}
+        for i, v in enumerate(values)]})

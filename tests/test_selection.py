@@ -20,7 +20,13 @@ from tsvalue.selection import (
     select,
     training_instances,
 )
-from tsvalue.series import SampleWindow, TimeSeries, enumerate_samples, split_holdout
+from tsvalue.series import (
+    SampleWindow,
+    TimeSeries,
+    enumerate_samples,
+    segment_blocks,
+    split_holdout,
+)
 from tsvalue.synthetic import SyntheticSpec, generate
 from tsvalue.valuation import SampleScores, ValuationConfig
 
@@ -298,16 +304,45 @@ class TestDetectionAuroc:
         assert detection_auroc(scores, labels) == 0.5
 
 
+def overlap_reference(labels, starts, length):
+    """Corrupted indices of each block, one block and one corrupted region at a time."""
+    return np.array([sum(max(0, min(s + length, r + n) - max(s, r)) for r, n in labels.regions)
+                     for s in starts], dtype=np.int64)
+
+
+def corruption_labels(t, tile, fraction, seed, range_):
+    ts = TimeSeries(np.arange(float(t))[:, None], ("a",))
+    return inject_corruption(ts, fraction, "level_shift", 1.0, seed, tile, range_=range_)[1]
+
+
 class TestLabelsForBlocks:
     def test_overlap_threshold(self):
-        from tsvalue.series import Block
-        ts = TimeSeries(np.zeros((100, 1)) + np.arange(100)[:, None], ("a",))
-        _, labels = inject_corruption(ts, 0.5, "level_shift", 1.0, 0, 50,
-                                      range_=(0, 100))
-        (start, _), = labels.regions
-        blocks = [Block(start, 50), Block((start + 50) % 50, 50)]
-        flags = labels.for_blocks([Block(start, 50)])
-        assert flags[0]
+        labels = corruption_labels(100, 50, 0.5, 0, (0, 100))
+        (tile, _), = labels.regions
+        starts = np.arange(51)
+        overlap = overlap_reference(labels, starts, 50)
+        flags = labels.for_blocks(starts, 50)
+        np.testing.assert_array_equal(flags, overlap >= 25)
+        # exactly min_overlap * L is corrupted; one step less is clean
+        assert flags[overlap == 25].tolist() == [True]
+        assert flags[overlap == 24].tolist() == [False]
+        assert flags[starts == tile].tolist() == [True]
+
+    @pytest.mark.parametrize("min_overlap", [0.25, 0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("length", [3, 7, 20, 33])
+    def test_matches_the_per_block_reference(self, length, min_overlap):
+        # tiles in [10, 150) only; blocks run over the whole series
+        labels = corruption_labels(200, 20, 0.4, 3, (10, 150))
+        starts = segment_blocks((0, 200), length, 1)
+        want = overlap_reference(labels, starts, length) >= min_overlap * length
+        got = labels.for_blocks(starts, length, min_overlap)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, want)
+        assert got.any() and not got.all()
+
+    def test_no_blocks(self):
+        labels = corruption_labels(100, 50, 0.5, 0, (0, 100))
+        assert labels.for_blocks(np.arange(0), 10).shape == (0,)
 
 
 class TestExperimentHarnesses:

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from tsvalue import errors
 from tsvalue.series import (
-    Block,
-    IngestOptions,
     TimeSeries,
     compute_norm_stats,
     denormalize,
@@ -28,10 +26,10 @@ def write(tmp_path, text, name="data.csv"):
     return p
 
 
-def load_outcome(loader, path, options):
+def load_outcome(loader, path):
     """The loaded values' bytes and names, or the error's class, row and column."""
     try:
-        ts = loader(path, options)
+        ts = loader(path)
     except errors.TsvalueError as exc:
         return type(exc), getattr(exc, "row", None), getattr(exc, "col", None)
     return ts.values.tobytes(), ts.channel_names
@@ -98,16 +96,6 @@ class TestLoadCsv:
             load_csv(p)
         assert exc.value.row == 2 and exc.value.col == 0
 
-    def test_nan_interpolated_midpoint(self, tmp_path):
-        p = write(tmp_path, "a\n1.0\nnan\n3.0\n")
-        ts = load_csv(p, IngestOptions(interpolate_nans=True))
-        assert ts.values[1, 0] == 2.0
-
-    def test_leading_nan_still_error(self, tmp_path):
-        p = write(tmp_path, "a\nnan\n2.0\n3.0\n")
-        with pytest.raises(errors.NaNEncountered):
-            load_csv(p, IngestOptions(interpolate_nans=True))
-
     def test_non_numeric_cell_position(self, tmp_path):
         p = write(tmp_path, "a,b\n1,2\n1,oops\n")
         with pytest.raises(errors.NonNumericCell) as exc:
@@ -136,7 +124,7 @@ class TestLoadCsv:
     def test_inf_cell_rejected_with_file_row_and_column(self, tmp_path):
         p = write(tmp_path, "timestamp,a,b\n2020-01-01,1,2\n2020-01-02,3,-inf\n")
         with pytest.raises(errors.NaNEncountered, match="infinite") as exc:
-            load_csv(p, IngestOptions(interpolate_nans=True))
+            load_csv(p)
         assert (exc.value.row, exc.value.col) == (2, 2)
 
     def test_mixed_naive_and_offset_timestamps(self, tmp_path):
@@ -163,14 +151,13 @@ class TestLoadCsv:
         assert ts.channel_names == ("a", "b")
         np.testing.assert_array_equal(ts.values, [[1, 2], [3, 4.5]])
 
-    @given(text=csv_texts(), interpolate=st.booleans())
+    @given(text=csv_texts())
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_matches_the_per_cell_reference(self, tmp_path, text, interpolate):
+    def test_matches_the_per_cell_reference(self, tmp_path, text):
         p = tmp_path / "generated.csv"
         p.write_bytes(text.encode("utf-8"))
-        options = IngestOptions(interpolate_nans=interpolate)
-        assert load_outcome(load_csv, p, options) == load_outcome(load_csv_reference, p, options)
+        assert load_outcome(load_csv, p) == load_outcome(load_csv_reference, p)
 
 
 class TestSplitHoldout:
@@ -194,32 +181,50 @@ class TestSplitHoldout:
 class TestSegmentBlocks:
     def test_counts(self):
         assert len(segment_blocks((0, 10), 3, 1)) == 8
-        assert [b.start for b in segment_blocks((0, 10), 3, 1)] == list(range(8))
+        assert segment_blocks((0, 10), 3, 1).tolist() == list(range(8))
 
     def test_single_block_boundary(self):
-        blocks = segment_blocks((0, 10), 10, 1)
-        assert blocks == [Block(0, 10)]
+        assert segment_blocks((0, 10), 10, 1).tolist() == [0]
+
+    def test_starts_are_int64(self):
+        starts = segment_blocks((3, 40), 5, 4)
+        assert starts.dtype == np.int64 and starts.ndim == 1
+        assert starts.tolist() == list(range(3, 36, 4))
+
+    @pytest.mark.parametrize("length", [1, 0, -3])
+    def test_length_below_two_rejected(self, length):
+        with pytest.raises(ValueError, match="length >= 2"):
+            segment_blocks((0, 10), length, 1)
+
+    def test_negative_range_start_rejected(self):
+        with pytest.raises(ValueError, match="start >= 0"):
+            segment_blocks((-1, 10), 3, 1)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_rejected(self, stride):
+        with pytest.raises(ValueError, match="stride"):
+            segment_blocks((0, 10), 3, stride)
 
     def test_default_length_on_target_700(self):
         assert len(segment_blocks((0, 700), 100, 1)) == 601
 
     def test_block_longer_than_range(self):
-        with pytest.raises(errors.BlockLongerThanRange):
+        with pytest.raises(errors.BlockLongerThanRange, match="block length 6 exceeds range "
+                                                             "length 5"):
             segment_blocks((0, 5), 6, 1)
+        assert segment_blocks((0, 5), 5, 7).tolist() == [0]
 
     def test_stride(self):
-        starts = [b.start for b in segment_blocks((0, 10), 4, 3)]
-        assert starts == [0, 3, 6]
+        assert segment_blocks((0, 10), 4, 3).tolist() == [0, 3, 6]
 
     @given(range_len=st.integers(2, 200), length=st.integers(2, 50))
     @settings(max_examples=60, deadline=None)
     def test_stride1_coverage(self, range_len, length):
         if length > range_len:
             return
-        blocks = segment_blocks((0, range_len), length, 1)
         cover = np.zeros(range_len, dtype=int)
-        for b in blocks:
-            cover[b.start:b.stop] += 1
+        for start in segment_blocks((0, range_len), length, 1):
+            cover[start:start + length] += 1
         assert (cover >= 1).all() and (cover <= length).all()
         interior = cover[length - 1:range_len - length + 1]
         assert (interior == length).all()

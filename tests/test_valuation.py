@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from tsvalue import errors, valuation
 from tsvalue.forecaster import ForecastInstance, Forecaster, ModelSpec
 from tsvalue.pipeline import TrainSettings, fit_value_model
-from tsvalue.series import Block, SampleWindow, TimeSeries, segment_blocks
+from tsvalue.series import SampleWindow, TimeSeries, segment_blocks
 from tsvalue.synthetic import SyntheticSpec, generate
 from tsvalue.valuation import (
+    BlockScores,
     PointScores,
     ValuationConfig,
     aggregate_points,
@@ -43,18 +44,18 @@ def cfg(lr=0.1, **kw):
 class TestBlockInstances:
     def test_split_rule(self):
         ts = TimeSeries(np.array([[1.0], [2.0], [3.0]]), ("a",))
-        inst = block_instances(ts, [Block(0, 3)], horizon=1)
+        inst = block_instances(ts, np.array([0]), 3, horizon=1)
         np.testing.assert_array_equal(inst.input[0, :, 0], [1, 2])
         np.testing.assert_array_equal(inst.target[0, :, 0], [3])
 
     def test_horizon_too_long(self):
         ts = TimeSeries(np.zeros((5, 1)), ("a",))
         with pytest.raises(errors.HorizonTooLong):
-            block_instances(ts, [Block(0, 3)], horizon=3)
+            block_instances(ts, np.array([0]), 3, horizon=3)
 
     def test_multivariate_shapes(self):
         ts = TimeSeries(np.arange(10, dtype=float).reshape(5, 2), ("a", "b"))
-        inst = block_instances(ts, [Block(0, 5)], horizon=2)
+        inst = block_instances(ts, np.array([0]), 5, horizon=2)
         assert inst.input.shape == (1, 3, 2)
         assert inst.target.shape == (1, 2, 2)
 
@@ -173,8 +174,10 @@ class TestValueAllBlocks:
         series, model, params, config = small_setup()
         a = value_all_blocks(series, model, params, config)
         b = value_all_blocks(series, model, params, config)
-        assert [s.block.start for s in a] == list(range(series.length - 6 + 1))
-        assert [s.value for s in a] == [s.value for s in b]
+        assert a.starts.tolist() == list(range(series.length - 6 + 1))
+        assert len(a) == len(a.values) == len(a.folds) == series.length - 6 + 1
+        assert a.length == 6
+        assert a.values.tobytes() == b.values.tobytes()
 
     @pytest.mark.parametrize("context_cap", [None, 5])
     def test_every_score_matches_reference(self, context_cap):
@@ -183,21 +186,20 @@ class TestValueAllBlocks:
         series, model, params, config = small_setup()
         config = replace(config, context_cap=context_cap)
         scores = value_all_blocks(series, model, params, config)
-        fold_ids = np.array([s.fold_id for s in scores])
-        insts = block_instances(series, [s.block for s in scores], 1)
-        for i, s in enumerate(scores):
-            ctx_idx = np.flatnonzero(fold_ids != s.fold_id)
+        insts = block_instances(series, scores.starts, scores.length, 1)
+        for i, (value, fold) in enumerate(zip(scores.values, scores.folds)):
+            ctx_idx = np.flatnonzero(scores.folds != fold)
             if context_cap is not None:
-                rng = np.random.default_rng([config.seed, s.fold_id])
+                rng = np.random.default_rng([config.seed, fold])
                 ctx_idx = np.sort(rng.choice(ctx_idx, size=context_cap, replace=False))
             ctx = insts[ctx_idx]
-            assert abs(s.value - block_value(model, params, insts[i], ctx, config)) <= 1e-12
+            assert abs(value - block_value(model, params, insts[i], ctx, config)) <= 1e-12
 
     @pytest.mark.parametrize("optimizer_kind", ["sgd", "adam"])
     def test_zero_learning_rate_scores_exactly_zero(self, optimizer_kind):
         series, model, params, config = small_setup()
         config = replace(config, learning_rate=0.0, optimizer_kind=optimizer_kind)
-        assert all(s.value == 0.0 for s in value_all_blocks(series, model, params, config))
+        assert (value_all_blocks(series, model, params, config).values == 0.0).all()
 
     def test_context_excludes_own_fold(self):
         series, model, params, config = small_setup()
@@ -207,10 +209,9 @@ class TestValueAllBlocks:
         from tsvalue.series import enumerate_samples, make_folds
         samples = enumerate_samples((0, series.length), sample_len)
         folds = make_folds(len(samples), config.k_folds, config.seed)
-        for s in scores:
-            expected = folds.assignment[min(s.block.start // sample_len,
-                                            len(samples) - 1)]
-            assert s.fold_id == expected
+        for start, fold in zip(scores.starts.tolist(), scores.folds.tolist()):
+            expected = folds.assignment[min(start // sample_len, len(samples) - 1)]
+            assert fold == expected
 
     def test_duplicate_fold_data_scores_symmetric(self):
         # two identical halves, two folds; stride = L so no block spans the
@@ -224,12 +225,12 @@ class TestValueAllBlocks:
         config = ValuationConfig(block_length=6, stride=6, learning_rate=1e-3,
                                  k_folds=2, sample_length=30, seed=1)
         scores = value_all_blocks(series, model, params, config)
-        by_start = {s.block.start: s for s in scores}
+        by_start = {s: i for i, s in enumerate(scores.starts.tolist())}
         checked = 0
         for start in range(0, 30, 6):
-            twin = by_start[start + 30]
-            assert by_start[start].fold_id != twin.fold_id
-            assert abs(by_start[start].value - twin.value) < 1e-15
+            i, twin = by_start[start], by_start[start + 30]
+            assert scores.folds[i] != scores.folds[twin]
+            assert abs(scores.values[i] - scores.values[twin]) < 1e-15
             checked += 1
         assert checked == 5
 
@@ -245,7 +246,7 @@ class TestValueAllBlocks:
                                  k_folds=3, context_cap=5, seed=config.seed)
         a = value_all_blocks(series, model, params, capped)
         b = value_all_blocks(series, model, params, capped)
-        assert [s.value for s in a] == [s.value for s in b]
+        assert a.values.tobytes() == b.values.tobytes()
 
     def test_valuation_never_reads_test_range(self):
         # the target slice is all the scorer receives, so altering anything
@@ -263,7 +264,7 @@ class TestValueAllBlocks:
                                    model, params, config)
         score_b = value_all_blocks(TimeSeries(altered, ("a",)).slice(0, 60),
                                    model, params, config)
-        assert [s.value for s in score_a] == [s.value for s in score_b]
+        assert score_a.values.tobytes() == score_b.values.tobytes()
 
     def test_starting_point_isolation(self):
         # scoring must not mutate params or leak a finetuned state forward
@@ -271,12 +272,13 @@ class TestValueAllBlocks:
         before = params.copy()
         scores_once = value_all_blocks(series, model, params, config)
         np.testing.assert_array_equal(params, before)
-        one = scores_once[10]
-        ctx_idx = [s.block for s in scores_once if s.fold_id != one.fold_id]
+        one, length = 10, scores_once.length
+        ctx_starts = scores_once.starts[scores_once.folds != scores_once.folds[one]]
         # rescoring the same block alone reproduces its value
-        ctx = block_instances(series, ctx_idx, 1)
-        alone = block_value(model, params, block_instances(series, [one.block], 1), ctx, config)
-        assert abs(alone - one.value) < 1e-15
+        ctx = block_instances(series, ctx_starts, length, 1)
+        block = block_instances(series, scores_once.starts[[one]], length, 1)
+        alone = block_value(model, params, block, ctx, config)
+        assert abs(alone - scores_once.values[one]) < 1e-15
 
 
 class TestScoreBlocksBatch:
@@ -331,33 +333,75 @@ class TestScoreBlocksBatch:
         assert got.tobytes() == want.tobytes()
 
 
+def block_scores(starts, length, values):
+    """A BlockScores of the given starts and values, every block in fold 0."""
+    starts = np.asarray(starts, dtype=np.int64)
+    values = np.broadcast_to(np.asarray(values, dtype=np.float64), starts.shape).copy()
+    return BlockScores(starts=starts, values=values, folds=np.zeros_like(starts),
+                       length=length)
+
+
+def aggregate_points_reference(blocks, t_target):
+    """aggregate_points point by point: each index sums its covering blocks in block order."""
+    starts, values, length = blocks.starts.tolist(), blocks.values.tolist(), blocks.length
+    total = np.zeros(t_target)
+    coverage = np.zeros(t_target, dtype=np.int64)
+    for i in range(t_target):
+        acc = 0.0
+        for start, value in zip(starts, values):
+            if start <= i < start + length:
+                acc += value
+                coverage[i] += 1
+        total[i] = acc
+    point_values = np.full(t_target, np.nan)
+    scored = coverage > 0
+    point_values[scored] = total[scored] / coverage[scored]
+    return PointScores(values=point_values, coverage=coverage)
+
+
 class TestAggregatePoints:
     def test_mean_of_covering_blocks(self):
-        scores = [make_score(0, 4, 0.2), make_score(2, 4, 0.4)]
-        points = aggregate_points(scores, 6)
+        points = aggregate_points(block_scores([0, 2], 4, [0.2, 0.4]), 6)
         assert points.values[2] == pytest.approx(0.3)
         assert points.coverage[2] == 2
 
     def test_constant_scores_fixpoint(self):
-        scores = [make_score(s, 3, 0.7) for s in range(5)]
-        points = aggregate_points(scores, 7)
+        points = aggregate_points(block_scores(range(5), 3, 0.7), 7)
         np.testing.assert_allclose(points.values[points.scored_mask()], 0.7)
 
     def test_interior_coverage_is_block_length(self):
-        scores = [make_score(s, 4, 1.0) for s in range(7)]  # stride 1, len 10
-        points = aggregate_points(scores, 10)
+        points = aggregate_points(block_scores(range(7), 4, 1.0), 10)  # stride 1, len 10
         assert (points.coverage[3:7] == 4).all()
 
     def test_uncovered_points_are_nan_not_zero(self):
-        points = aggregate_points([make_score(0, 2, 1.0)], 5)
+        points = aggregate_points(block_scores([0], 2, 1.0), 5)
         assert np.isnan(points.values[3])
         assert points.coverage[3] == 0
 
+    def test_no_blocks_leaves_every_point_unscored(self):
+        points = aggregate_points(block_scores([], 3, 0.0), 4)
+        assert points.coverage.tolist() == [0, 0, 0, 0]
+        assert np.isnan(points.values).all()
 
-def make_score(start, length, value, fold=0):
-    from tsvalue.valuation import BlockScore
-
-    return BlockScore(block=Block(start, length), value=value, fold_id=fold)
+    @given(t=st.integers(2, 120), length=st.integers(2, 30), stride=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1), shuffle=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_the_point_sums(self, t, length, stride, seed, shuffle):
+        # stride > length leaves uncovered gaps; t off the stride grid leaves a
+        # tail that no block reaches; shuffled starts need no ordering
+        if length > t:
+            return
+        starts = segment_blocks((0, t), length, stride)
+        rng = np.random.default_rng(seed)
+        if shuffle:
+            starts = rng.permutation(starts)
+        # mixed magnitudes, so any other summation order changes low bits
+        values = rng.normal(size=len(starts)) * 10.0 ** rng.integers(-8, 9, size=len(starts))
+        blocks = block_scores(starts, length, values)
+        got, want = aggregate_points(blocks, t), aggregate_points_reference(blocks, t)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.coverage.dtype == want.coverage.dtype
+        assert got.coverage.tolist() == want.coverage.tolist()
 
 
 class TestAggregateSamples:
@@ -400,10 +444,8 @@ class TestAggregationLinearity:
     @settings(max_examples=30, deadline=None)
     def test_affine_block_scores_propagate(self, alpha, const, seed):
         rng = np.random.default_rng(seed)
-        scores = [make_score(s, 4, float(v))
-                  for s, v in enumerate(rng.normal(size=9))]
-        scaled = [make_score(s.block.start, s.block.length,
-                             alpha * s.value + const) for s in scores]
+        scores = block_scores(range(9), 4, rng.normal(size=9))
+        scaled = block_scores(scores.starts, scores.length, alpha * scores.values + const)
         t = 12
         base_pts = aggregate_points(scores, t)
         new_pts = aggregate_points(scaled, t)
@@ -454,7 +496,7 @@ class TestFirstOrderConsistency:
         series = generate(SyntheticSpec(generator="sine_mix", length=400, seed=0))
         spec = ModelSpec("linear_ar", 9, 1, 1)
         model, params = fit_value_model(series, spec, TrainSettings(epochs=3), seed=0)
-        insts = block_instances(series, segment_blocks((0, 400), 10, 5), 1)
+        insts = block_instances(series, segment_blocks((0, 400), 10, 5), 10, 1)
         blocks, context = insts[0::2], insts[1::2]
         v = score_blocks_batch(model, params, blocks, context,
                                ValuationConfig(block_length=10, learning_rate=eta))
