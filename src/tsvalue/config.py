@@ -129,6 +129,7 @@ class CorruptionConfig:
         require(0.0 <= self.fraction < 1.0, f"fraction must lie in [0, 1), got {self.fraction!r}")
         require(self.kind != "gaussian_burst" or self.magnitude >= 0,
                 "gaussian_burst magnitude (a noise std) must be >= 0")
+        require_at_least(self, 0, "seed")
 
     @property
     def active(self) -> bool:
@@ -206,6 +207,7 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        require_at_least(self, 0, "seed")
         require(0.0 < self.test_fraction < 1.0,
                 f"test_fraction must lie in (0, 1), got {self.test_fraction!r}")
         for model in (self.model, self.downstream_model):

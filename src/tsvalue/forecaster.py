@@ -8,18 +8,25 @@ Two small architectures stand in for a large pretrained forecaster:
   + (hidden + bias) * (H*M), fan-in uniform init.
 
 Parameters live in one flat float64 vector so inner products and dense
-Hessians are index-aligned by construction. Loss is mean squared error
-over all H*M target entries. Apart from ``optimizer_step``, which updates
-the params and optimizer state it is given in place, all operations are
-pure functions of their inputs (plus explicit seeds) and safe to run
-concurrently on shared parameter vectors.
+Hessians are index-aligned by construction. With D = W*M (+1 with bias) and
+O = H*M, its layout is theta (D x O) for ``linear_ar``, and W1 (D x hidden),
+W2 (hidden x O), then the output bias (O, with bias) for ``mlp``, each
+row-major. ``Forecaster._unpack`` alone reads it, for a P-vector or for each
+row of a B x P matrix; every kernel reads and writes layers through it.
+Loss is mean squared error over all H*M target entries. Apart from
+``optimizer_step``, which updates the params and optimizer state it is
+given in place, all operations are pure functions of their inputs (plus
+explicit seeds) and safe to run concurrently on shared parameter vectors.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -97,20 +104,22 @@ class ModelSpec:
                 f"unknown architecture {self.architecture!r}", InvalidSpec)
         require(min(self.lookback, self.horizon, self.channels) >= 1,
                 "lookback, horizon, and channels must all be >= 1", InvalidSpec)
+        require(self.init_seed >= 0, f"init_seed must be >= 0, got {self.init_seed!r}", InvalidSpec)
         if self.architecture == "mlp":
             require(self.hidden >= 1, "mlp requires hidden >= 1", InvalidSpec)
             require(self.activation == "tanh",
                     f"unsupported activation {self.activation!r}", InvalidSpec)
 
-    @property
+    # cached: the kernels read these sizes on every call
+    @cached_property
     def in_dim(self) -> int:
         return self.lookback * self.channels + (1 if self.bias else 0)
 
-    @property
+    @cached_property
     def out_dim(self) -> int:
         return self.horizon * self.channels
 
-    @property
+    @cached_property
     def n_params(self) -> int:
         if self.architecture == "linear_ar":
             return self.in_dim * self.out_dim
@@ -143,17 +152,21 @@ class Forecaster:
         w2 /= np.sqrt(s.hidden)
         return np.concatenate([w1, w2])
 
-    def _unpack(self, params: np.ndarray):
+    def _unpack(self, params: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Writable layer views: ``(theta,)`` for linear_ar, ``(w1, w2, bias)``
+        for mlp (bias None without it), with a leading B axis for B x P rows."""
         s = self.spec
         params = np.asarray(params, dtype=np.float64)
-        if params.shape != (s.n_params,):
+        lead = params.shape[:-1]
+        if len(lead) > 1 or params.shape[-1:] != (s.n_params,):
             raise ShapeMismatch(f"expected {s.n_params} params, got shape {params.shape}")
+        d, h, o = s.in_dim, s.hidden, s.out_dim
         if s.architecture == "linear_ar":
-            return (params.reshape(s.in_dim, s.out_dim),)
-        split = s.in_dim * s.hidden
-        theta1 = params[:split].reshape(s.in_dim, s.hidden)
-        theta2 = params[split:].reshape(s.hidden + (1 if s.bias else 0), s.out_dim)
-        return theta1, theta2
+            return (params.reshape(lead + (d, o)),)
+        split, w2_end = d * h, d * h + h * o
+        return (params[..., :split].reshape(lead + (d, h)),
+                params[..., split:w2_end].reshape(lead + (h, o)),
+                params[..., w2_end:] if s.bias else None)
 
     # --- instance handling --------------------------------------------------
 
@@ -168,38 +181,45 @@ class Forecaster:
             )
         n = len(instances)
         a = x.reshape(n, s.lookback * s.channels)
-        if s.bias:
-            a = np.concatenate([a, np.ones((n, 1))], axis=1)
+        if s.bias:  # filled in place: half the cost of np.concatenate on a mini-batch
+            a, rows = np.empty((n, s.in_dim)), a
+            a[:, :-1] = rows
+            a[:, -1] = 1.0
         return a, y.reshape(n, s.out_dim)
 
     # --- forward / loss -----------------------------------------------------
 
-    def _forward_flat(self, params: np.ndarray, a: np.ndarray):
-        """Prediction (and hidden activations for mlp) for design rows a (N x D)."""
+    def _forward(self, params2d: np.ndarray, a: np.ndarray):
+        """Predictions B x N x O for design rows a (N x D) under each row of a
+        B x P parameter matrix, and the B x N x hidden tanh activations (None
+        for linear_ar). The B first layers are folded into the columns of one
+        wide matmul rather than B skinny ones."""
+        layers = self._unpack(params2d)
         if self.spec.architecture == "linear_ar":
-            (theta,) = self._unpack(params)
-            return a @ theta, None
-        theta1, theta2 = self._unpack(params)
-        hidden = np.tanh(a @ theta1)
-        pred = hidden @ theta2[: self.spec.hidden]
-        if self.spec.bias:
-            pred = pred + theta2[self.spec.hidden]
+            return np.matmul(a, layers[0]), None
+        w1, w2, bias = layers
+        b, d, h = w1.shape
+        z = (a @ w1.transpose(1, 0, 2).reshape(d, b * h)).reshape(a.shape[0], b, h)
+        hidden = np.tanh(z.transpose(1, 0, 2))
+        pred = hidden @ w2
+        if bias is not None:
+            pred = pred + bias[:, None, :]
         return pred, hidden
 
     def predict(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Forecast an H x M horizon from a W x M lookback window."""
         s = self.spec
         a, _ = self.design_matrix(ForecastInstance(x, np.zeros((s.horizon, s.channels))))
-        pred, _ = self._forward_flat(params, a)
-        return pred[0].reshape(s.horizon, s.channels)
+        pred, _ = self._forward(np.asarray(params)[None], a)
+        return pred[0, 0].reshape(s.horizon, s.channels)
 
     def batch_loss(self, params: np.ndarray, instances: ForecastInstance) -> float:
         """Arithmetic mean of per-instance losses."""
         if not instances:
             raise EmptyBatch("batch_loss needs at least one instance")
         a, y = self.design_matrix(instances)
-        pred, _ = self._forward_flat(params, a)
-        return float(np.mean((pred - y) ** 2))
+        pred, _ = self._forward(np.asarray(params)[None], a)
+        return float(np.mean((pred[0] - y) ** 2))
 
     def batch_metrics(self, params: np.ndarray,
                       instances: ForecastInstance) -> tuple[float, float]:
@@ -207,52 +227,53 @@ class Forecaster:
         if not instances:
             raise EmptyBatch("batch_metrics needs at least one instance")
         a, y = self.design_matrix(instances)
-        pred, _ = self._forward_flat(params, a)
-        err = pred - y
+        pred, _ = self._forward(np.asarray(params)[None], a)
+        err = pred[0] - y
         return float(np.mean(err**2)), float(np.mean(np.abs(err)))
 
     # --- gradients ----------------------------------------------------------
+    # Each kernel writes its gradients into ``_unpack`` views of its output
+    # and keeps its own order of operations, which the tests pin bitwise.
 
     def batch_grad(self, params: np.ndarray, instances: ForecastInstance) -> GradientResult:
         """Gradient of the mean loss over a batch.
 
         The training hot path: it works in place on its own temporaries and
         writes each layer's gradient straight into the returned P-vector.
-        The arithmetic is that of ``_forward_flat`` and ``np.mean``.
+        The arithmetic is that of ``_forward`` and ``np.mean``.
         """
         if not instances:
             raise EmptyBatch("batch_grad needs at least one instance")
         s = self.spec
         a, y = self.design_matrix(instances)
-        thetas = self._unpack(params)
+        layers = self._unpack(params)
         g = np.empty(s.n_params)
+        grads = self._unpack(g)
         if s.architecture == "linear_ar":
-            r = a @ thetas[0]
+            r = a @ layers[0]
         else:
-            theta1, theta2 = thetas
-            w2 = theta2[: s.hidden]
-            hidden = a @ theta1
+            w1, w2, bias = layers
+            hidden = a @ w1
             np.tanh(hidden, out=hidden)
             r = hidden @ w2
-            if s.bias:
-                r += theta2[s.hidden]
+            if bias is not None:
+                r += bias
         r -= y
         # np.mean's own reduction, so the loss is bitwise np.mean(r**2)
         loss = float(np.add.reduce(r * r, axis=None) / r.size)
         r *= 2.0 / r.size  # d loss / d pred
         if s.architecture == "linear_ar":
-            np.matmul(a.T, r, out=g.reshape(s.in_dim, s.out_dim))
+            np.matmul(a.T, r, out=grads[0])
             return GradientResult(loss=loss, grad=g)
-        split = s.in_dim * s.hidden
-        w2_end = split + s.hidden * s.out_dim
-        np.matmul(hidden.T, r, out=g[split:w2_end].reshape(s.hidden, s.out_dim))
-        if s.bias:
-            np.add.reduce(r, axis=0, out=g[w2_end:])
+        g1, g2, gbias = grads
+        np.matmul(hidden.T, r, out=g2)
+        if gbias is not None:
+            np.add.reduce(r, axis=0, out=gbias)
         dz = r @ w2.T
         np.square(hidden, out=hidden)
         np.subtract(1.0, hidden, out=hidden)  # tanh' = 1 - h**2
         dz *= hidden
-        np.matmul(a.T, dz, out=g[:split].reshape(s.in_dim, s.hidden))
+        np.matmul(a.T, dz, out=g1)
         return GradientResult(loss=loss, grad=g)
 
     def grad_per_instance(self, params: np.ndarray,
@@ -261,96 +282,60 @@ class Forecaster:
         if not instances:
             raise EmptyBatch("grad_per_instance needs at least one instance")
         a, y = self.design_matrix(instances)
-        pred, hidden = self._forward_flat(params, a)
-        dpred = (2.0 / self.spec.out_dim) * (pred - y)
-        if self.spec.architecture == "linear_ar":
-            return np.einsum("nd,no->ndo", a, dpred).reshape(len(instances), -1)
-        return self._mlp_backward(params, a, hidden, dpred)
-
-    def _mlp_backward(self, params, a, hidden, dpred):
-        s = self.spec
-        _, theta2 = self._unpack(params)
-        w2 = theta2[: s.hidden]
-        dhidden = dpred @ w2.T
-        dz = dhidden * (1.0 - hidden**2)
-        n = a.shape[0]
-        dtheta1 = np.einsum("nd,nh->ndh", a, dz).reshape(n, -1)
-        dtheta2 = np.einsum("nh,no->nho", hidden, dpred).reshape(n, -1)
-        if s.bias:
-            return np.concatenate([dtheta1, dtheta2, dpred], axis=1)
-        return np.concatenate([dtheta1, dtheta2], axis=1)
+        pred, hidden = self._forward(np.asarray(params)[None], a)
+        dpred = (2.0 / self.spec.out_dim) * (pred[0] - y)
+        out = np.empty((len(instances), self.spec.n_params))
+        grads = self._unpack(out)
+        if hidden is None:  # linear_ar
+            np.einsum("nd,no->ndo", a, dpred, out=grads[0])
+            return out
+        hidden = hidden[0]
+        w2 = self._unpack(params)[1]
+        dz = (dpred @ w2.T) * (1.0 - hidden**2)
+        g1, g2, gbias = grads
+        np.einsum("nd,nh->ndh", a, dz, out=g1)
+        np.einsum("nh,no->nho", hidden, dpred, out=g2)
+        if gbias is not None:
+            gbias[:] = dpred
+        return out
 
     # --- vectorized multi-parameter kernels ----------------------------------
     # Used by block scoring and dense Hessian assembly, where looping over
     # parameter variants in Python would spend the time on interpreter overhead
-    # instead of arithmetic. Must agree with the reference paths to ~1e-12.
+    # instead of arithmetic.
 
     def loss_many_params(self, params2d: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Mean loss on design rows ``(a, y)`` for each row of a B x P parameter matrix."""
-        return np.mean((self._forward_many(params2d, a) - y) ** 2, axis=(1, 2))
+        return np.mean((self._forward(params2d, a)[0] - y) ** 2, axis=(1, 2))
 
     def grad_many_params(self, params2d: np.ndarray,
                          instances: ForecastInstance,
                          chunk: int = 32) -> np.ndarray:
-        """Mean-loss gradient for each row of a B x P parameter matrix."""
+        """Mean-loss gradient for each row of a B x P parameter matrix, ``chunk`` rows at a time."""
         a, y = self.design_matrix(instances)
-        n = len(instances)
-        s = self.spec
+        scale = 2.0 / (len(instances) * self.spec.out_dim)
         out = np.empty_like(params2d)
         at = np.ascontiguousarray(a.T)
         for lo in range(0, params2d.shape[0], chunk):
             block = params2d[lo:lo + chunk]
-            if s.architecture == "linear_ar":
-                theta = block.reshape(-1, s.in_dim, s.out_dim)
-                r = np.matmul(a[None, :, :], theta) - y
-                g = (2.0 / (n * s.out_dim)) * np.matmul(at[None, :, :], r)
-                out[lo:lo + chunk] = g.reshape(block.shape[0], -1)
-            else:
-                split = s.in_dim * s.hidden
-                b = block.shape[0]
-                theta1 = block[:, :split].reshape(b, s.in_dim, s.hidden)
-                theta2 = block[:, split:].reshape(b, s.hidden + (1 if s.bias else 0), s.out_dim)
-                w2 = theta2[:, : s.hidden]
-                hid = self._fold_forward(a, theta1)
-                pred = np.matmul(hid, w2)
-                if s.bias:
-                    pred = pred + theta2[:, s.hidden][:, None, :]
-                dpred = (2.0 / (n * s.out_dim)) * (pred - y)
-                dhid = np.matmul(dpred, w2.transpose(0, 2, 1))
-                dz = dhid * (1.0 - hid**2)
-                # fold the variant axis into columns: one wide matmul instead
-                # of b skinny ones
-                dz_flat = dz.transpose(1, 0, 2).reshape(a.shape[0], b * s.hidden)
-                dtheta1 = (at @ dz_flat).reshape(s.in_dim, b, s.hidden)
-                dtheta1 = dtheta1.transpose(1, 0, 2).reshape(b, -1)
-                dtheta2 = np.matmul(hid.transpose(0, 2, 1), dpred).reshape(b, -1)
-                if s.bias:
-                    dbias = dpred.sum(axis=1)
-                    out[lo:lo + chunk] = np.concatenate([dtheta1, dtheta2, dbias], axis=1)
-                else:
-                    out[lo:lo + chunk] = np.concatenate([dtheta1, dtheta2], axis=1)
+            grads = self._unpack(out[lo:lo + chunk])
+            pred, hid = self._forward(block, a)
+            if hid is None:  # linear_ar: scaled after the matmul
+                np.multiply(scale, np.matmul(at, pred - y), out=grads[0])
+                continue
+            b, _, h = hid.shape
+            w2 = self._unpack(block)[1]
+            dpred = scale * (pred - y)
+            dz = np.matmul(dpred, w2.transpose(0, 2, 1)) * (1.0 - hid**2)
+            # fold the variant axis into columns: one wide matmul instead
+            # of b skinny ones
+            dz_flat = dz.transpose(1, 0, 2).reshape(a.shape[0], b * h)
+            g1, g2, gbias = grads
+            g1[:] = (at @ dz_flat).reshape(-1, b, h).transpose(1, 0, 2)
+            np.matmul(hid.transpose(0, 2, 1), dpred, out=g2)
+            if gbias is not None:
+                gbias[:] = dpred.sum(axis=1)
         return out
-
-    def _fold_forward(self, a: np.ndarray, theta1: np.ndarray) -> np.ndarray:
-        """tanh(a @ theta1) for B parameter variants via one wide matmul."""
-        b, d, h = theta1.shape
-        folded = theta1.transpose(1, 0, 2).reshape(d, b * h)
-        z = (a @ folded).reshape(a.shape[0], b, h)
-        return np.tanh(z.transpose(1, 0, 2))
-
-    def _forward_many(self, params2d: np.ndarray, a: np.ndarray) -> np.ndarray:
-        s = self.spec
-        if s.architecture == "linear_ar":
-            theta = params2d.reshape(-1, s.in_dim, s.out_dim)
-            return np.matmul(a[None, :, :], theta)
-        split = s.in_dim * s.hidden
-        theta1 = params2d[:, :split].reshape(-1, s.in_dim, s.hidden)
-        theta2 = params2d[:, split:].reshape(-1, s.hidden + (1 if s.bias else 0), s.out_dim)
-        hid = self._fold_forward(a, theta1)
-        pred = np.matmul(hid, theta2[:, : s.hidden])
-        if s.bias:
-            pred = pred + theta2[:, s.hidden][:, None, :]
-        return pred
 
 
 def sliding_instances(values: np.ndarray, lookback: int, horizon: int,
@@ -513,16 +498,7 @@ def save_model(path: str | Path, spec: ModelSpec, params: np.ndarray,
                meta: dict | None = None) -> None:
     doc = {
         "format": CHECKPOINT_FORMAT,
-        "spec": {
-            "architecture": spec.architecture,
-            "lookback": spec.lookback,
-            "horizon": spec.horizon,
-            "channels": spec.channels,
-            "hidden": spec.hidden,
-            "activation": spec.activation,
-            "bias": spec.bias,
-            "init_seed": spec.init_seed,
-        },
+        "spec": asdict(spec),
         "params": np.asarray(params, dtype=np.float64).tolist(),
     }
     if meta:
@@ -542,8 +518,19 @@ def load_model(path: str | Path) -> tuple[ModelSpec, np.ndarray]:
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise InvalidSpec(f"unsupported checkpoint format {fmt!r}")
-    spec = ModelSpec(**doc["spec"])
-    params = np.asarray(doc["params"], dtype=np.float64)
+    raw, values = doc.get("spec"), doc.get("params")
+    types = typing.get_type_hints(ModelSpec)
+    required = {f.name for f in fields(ModelSpec) if f.default is MISSING}
+    # type(), not isinstance: JSON true is no int, and 18.0 no lookback
+    require(isinstance(raw, dict) and required <= raw.keys() <= types.keys()
+            and all(type(v) is types[k] for k, v in raw.items()),
+            f"checkpoint {path}: spec is not an object of ModelSpec fields: {raw!r}", InvalidSpec)
+    # the bound also rejects NaN, inf and integers beyond float64
+    require(isinstance(values, list)
+            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values),
+            f"checkpoint {path}: params is not a list of finite numbers", InvalidSpec)
+    spec = ModelSpec(**raw)
+    params = np.array(values, dtype=np.float64)
     if params.shape != (spec.n_params,):
         raise ShapeMismatch(f"checkpoint has {params.size} params, spec wants {spec.n_params}")
     return spec, params

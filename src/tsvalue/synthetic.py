@@ -29,6 +29,7 @@ class SyntheticSpec:
         require(min(self.length, self.channels) >= 1,
                 "length and channels must be >= 1", InvalidSpec)
         require(self.noise_std >= 0, "noise_std must be >= 0", InvalidSpec)
+        require(self.seed >= 0, f"seed must be >= 0, got {self.seed!r}", InvalidSpec)
         object.__setattr__(self, "ar_coeffs", tuple(float(c) for c in self.ar_coeffs))
 
 

@@ -58,6 +58,7 @@ class ValuationConfig:
     def __post_init__(self):
         require_at_least(self, 2, "block_length", "k_folds")
         require_at_least(self, 1, "stride", "context_cap", "sample_length")
+        require_at_least(self, 0, "seed")
         self.optimizer()  # an unknown kind or a negative rate fails; zero scores every block 0
 
     @property

@@ -21,7 +21,8 @@ from tsvalue.errors import ConfigError
 from tsvalue.experiments import _bench_instances
 from tsvalue.forecaster import Forecaster, ModelSpec
 from tsvalue.oracles import build_hessian, exact_influence
-from tsvalue.valuation import grad_inner_influence
+from tsvalue.synthetic import SyntheticSpec
+from tsvalue.valuation import ValuationConfig, grad_inner_influence
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,6 +48,18 @@ def write_config(tmp_path, overrides=None, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
+
+
+# the spec that write_config's model and blocks ask for: P = (18 + 1) * 2
+CHECKPOINT_SPEC = {"architecture": "linear_ar", "lookback": 18, "horizon": 2, "channels": 1,
+                   "hidden": 0, "activation": "tanh", "bias": True, "init_seed": 0}
+
+
+def checkpoint_text(spec=CHECKPOINT_SPEC, params=(0.0,) * 38, drop=None):
+    """A checkpoint for write_config's model, with ``spec``/``params`` swapped in or ``drop`` left out."""
+    doc = {"format": "tsvalue-model-v1", "spec": spec, "params": list(params)}
+    doc.pop(drop, None)
+    return json.dumps(doc)
 
 
 COMMANDS = ("synth", "value", "oracle-compare", "select-eval", "ablate", "bench", "generalize")
@@ -184,6 +197,33 @@ class TestConfig:
         assert issubclass(getattr(errors, kind), ConfigError)
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides, args", [
+        ({"seed": -1}, []),
+        ({}, ["--seed", "-1"]),
+        ({"dataset": {"synthetic": {"length": 300, "seed": -1}}}, []),
+        ({"model": {"init_seed": -1}}, []),
+        ({"downstream_model": {"init_seed": -1}}, []),
+        ({"corruption": {"fraction": 0.2, "seed": -1}}, []),
+    ], ids=["seed", "--seed", "synthetic.seed", "model.init_seed",
+            "downstream_model.init_seed", "corruption.seed"])
+    def test_negative_seed_exits_1_at_load(self, tmp_path, capsys, overrides, args):
+        path = write_config(tmp_path, overrides)
+        assert main(["select-eval", "--config", str(path), *args]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("tsvalue: exit=1 kind=")
+        assert "must be >= 0, got -1" in err[0]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_library_specs_reject_negative_seeds(self):
+        with pytest.raises(errors.InvalidSpec):
+            ModelSpec("linear_ar", 2, 1, 1, init_seed=-1)
+        with pytest.raises(errors.InvalidSpec):
+            SyntheticSpec(seed=-1)
+        with pytest.raises(ConfigError):
+            ValuationConfig(seed=-1)
 
     def test_defaults_pinned_by_hash(self):
         # the README's minimal config restates the defaults; a moved default
@@ -395,6 +435,19 @@ class TestValue:
         (None, 2, "MissingFile"),
         ("{not json", 1, "InvalidSpec"),
         ("[1]", 1, "InvalidSpec"),  # JSON, but not a checkpoint object
+        *(pytest.param(checkpoint_text(**body), 1, kind, id=name) for name, body, kind in [
+            ("no-spec", {"drop": "spec"}, "InvalidSpec"),
+            ("no-params", {"drop": "params"}, "InvalidSpec"),
+            ("unknown-spec-key", {"spec": {**CHECKPOINT_SPEC, "depth": 2}}, "InvalidSpec"),
+            ("spec-list", {"spec": [18, 2]}, "InvalidSpec"),
+            ("string-lookback", {"spec": {**CHECKPOINT_SPEC, "lookback": "18"}}, "InvalidSpec"),
+            ("int-bias", {"spec": {**CHECKPOINT_SPEC, "bias": 1}}, "InvalidSpec"),
+            ("negative-init-seed", {"spec": {**CHECKPOINT_SPEC, "init_seed": -1}}, "InvalidSpec"),
+            ("string-params", {"params": ["0.5"] * 38}, "InvalidSpec"),
+            ("nan-param", {"params": [float("nan")] + [0.0] * 37}, "InvalidSpec"),
+            ("huge-int-param", {"params": [10**400] + [0.0] * 37}, "InvalidSpec"),
+            ("too-few-params", {"params": [0.0] * 37}, "ShapeMismatch"),
+        ]),
     ])
     def test_bad_checkpoint_file_fails_with_one_line(self, tmp_path, capsys, command,
                                                      content, code, kind):
@@ -405,6 +458,7 @@ class TestValue:
         assert main([command, "--config", str(path)]) == code
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"tsvalue: exit={code} kind={kind} ")
+        assert not (tmp_path / "out" / "value_model.json").exists()
 
     def test_detection_report_when_corrupted(self, tmp_path):
         path = write_config(tmp_path, {

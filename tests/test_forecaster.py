@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,13 @@ from instance_sets import stack
 from train_reference import (
     ReferenceState,
     batch_grad_reference,
+    batch_loss_reference,
+    batch_metrics_reference,
+    grad_many_params_reference,
+    grad_per_instance_reference,
+    loss_many_params_reference,
     optimizer_step_reference,
+    predict_reference,
     train_reference,
 )
 
@@ -412,6 +421,46 @@ class TestVectorizedKernels:
                                    m.batch_grad(params, insts).grad, atol=1e-13)
 
 
+class TestKernelsMatchFrozenReference:
+    """Every kernel is bitwise equal to its frozen copy in ``train_reference``."""
+
+    @pytest.fixture(params=MODEL_GRID, ids=spec_id)
+    def case(self, request):
+        spec = request.param
+        m = Forecaster(spec)
+        rng = np.random.default_rng(31)
+        params = m.init_params() + 0.3 * rng.normal(size=spec.n_params)
+        rows = params + 0.1 * rng.normal(size=(7, spec.n_params))
+        return m, params, rows, rand_instances(spec, 11, seed=17)
+
+    def test_predict(self, case):
+        m, params, _, insts = case
+        for x in insts.input[:3]:
+            assert m.predict(params, x).tobytes() == predict_reference(m, params, x).tobytes()
+
+    def test_batch_loss_and_metrics(self, case):
+        m, params, _, insts = case
+        assert m.batch_loss(params, insts) == batch_loss_reference(m, params, insts)
+        assert m.batch_metrics(params, insts) == batch_metrics_reference(m, params, insts)
+
+    def test_grad_per_instance(self, case):
+        m, params, _, insts = case
+        got = m.grad_per_instance(params, insts)
+        assert got.tobytes() == grad_per_instance_reference(m, params, insts).tobytes()
+
+    def test_loss_many_params(self, case):
+        m, _, rows, insts = case
+        a, y = m.design_matrix(insts)
+        assert (m.loss_many_params(rows, a, y).tobytes()
+                == loss_many_params_reference(m, rows, a, y).tobytes())
+
+    @pytest.mark.parametrize("chunk", [3, 32])  # 7 rows in three chunks, and in one
+    def test_grad_many_params(self, case, chunk):
+        m, _, rows, insts = case
+        got = m.grad_many_params(rows, insts, chunk=chunk)
+        assert got.tobytes() == grad_many_params_reference(m, rows, insts, chunk).tobytes()
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         spec = ModelSpec("mlp", 4, 2, 3, hidden=5, init_seed=11)
@@ -421,6 +470,13 @@ class TestCheckpoint:
         spec2, params2 = load_model(path)
         assert spec2 == spec
         np.testing.assert_array_equal(params2, params)
+
+    def test_spec_keys_are_the_model_spec_fields(self, tmp_path):
+        spec = ModelSpec("mlp", 4, 2, 3, hidden=5, init_seed=11)
+        path = tmp_path / "model.json"
+        save_model(path, spec, Forecaster(spec).init_params())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert set(doc["spec"]) == {f.name for f in fields(ModelSpec)}
 
     def test_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "model.json"

@@ -1,9 +1,13 @@
-"""Test-side reference for training: the functional optimizer it replaced.
+"""Test-side reference for training and scoring: the kernels the package replaced.
 
 ``optimizer_step`` here returns new params and a new state and leaves its
 inputs untouched; ``batch_grad`` builds the gradient from separate layer
 arrays; ``train`` and ``score_blocks_batch`` drive them as the package did
-before its optimizer stepped in place. The package must match these bitwise.
+before its optimizer stepped in place. The forward passes and the
+``grad_per_instance``, ``loss_many_params`` and ``grad_many_params`` kernels
+are frozen copies of the package's before its forward passes became one;
+each slices the flat parameter layout itself. The package must match all of
+these bitwise.
 """
 
 from dataclasses import dataclass, replace
@@ -52,6 +56,14 @@ def optimizer_step_reference(params, grad, state: ReferenceState):
     return params - cfg.learning_rate * update, replace(state, step=step, m=m, v=v)
 
 
+def _layers(model: Forecaster, params2d):
+    s = model.spec
+    split = s.in_dim * s.hidden
+    theta1 = params2d[:, :split].reshape(-1, s.in_dim, s.hidden)
+    theta2 = params2d[:, split:].reshape(-1, s.hidden + (1 if s.bias else 0), s.out_dim)
+    return theta1, theta2
+
+
 def _forward_flat(model: Forecaster, params, a):
     s = model.spec
     if s.architecture == "linear_ar":
@@ -64,6 +76,93 @@ def _forward_flat(model: Forecaster, params, a):
     if s.bias:
         pred = pred + theta2[s.hidden]
     return pred, hidden
+
+
+def _fold_forward(a, theta1):
+    b, d, h = theta1.shape
+    folded = theta1.transpose(1, 0, 2).reshape(d, b * h)
+    z = (a @ folded).reshape(a.shape[0], b, h)
+    return np.tanh(z.transpose(1, 0, 2))
+
+
+def _forward_many(model: Forecaster, params2d, a):
+    s = model.spec
+    if s.architecture == "linear_ar":
+        return np.matmul(a[None, :, :], params2d.reshape(-1, s.in_dim, s.out_dim))
+    theta1, theta2 = _layers(model, params2d)
+    pred = np.matmul(_fold_forward(a, theta1), theta2[:, : s.hidden])
+    if s.bias:
+        pred = pred + theta2[:, s.hidden][:, None, :]
+    return pred
+
+
+def predict_reference(model: Forecaster, params, x):
+    s = model.spec
+    a, _ = model.design_matrix(ForecastInstance(x, np.zeros((s.horizon, s.channels))))
+    return _forward_flat(model, params, a)[0][0].reshape(s.horizon, s.channels)
+
+
+def batch_loss_reference(model: Forecaster, params, instances: ForecastInstance) -> float:
+    a, y = model.design_matrix(instances)
+    return float(np.mean((_forward_flat(model, params, a)[0] - y) ** 2))
+
+
+def batch_metrics_reference(model: Forecaster, params, instances: ForecastInstance):
+    a, y = model.design_matrix(instances)
+    err = _forward_flat(model, params, a)[0] - y
+    return float(np.mean(err**2)), float(np.mean(np.abs(err)))
+
+
+def grad_per_instance_reference(model: Forecaster, params, instances: ForecastInstance):
+    s = model.spec
+    a, y = model.design_matrix(instances)
+    pred, hidden = _forward_flat(model, params, a)
+    dpred = (2.0 / s.out_dim) * (pred - y)
+    n = len(instances)
+    if s.architecture == "linear_ar":
+        return np.einsum("nd,no->ndo", a, dpred).reshape(n, -1)
+    w2 = params[s.in_dim * s.hidden:].reshape(-1, s.out_dim)[: s.hidden]
+    dz = (dpred @ w2.T) * (1.0 - hidden**2)
+    parts = [np.einsum("nd,nh->ndh", a, dz).reshape(n, -1),
+             np.einsum("nh,no->nho", hidden, dpred).reshape(n, -1)]
+    if s.bias:
+        parts.append(dpred)
+    return np.concatenate(parts, axis=1)
+
+
+def loss_many_params_reference(model: Forecaster, params2d, a, y):
+    return np.mean((_forward_many(model, params2d, a) - y) ** 2, axis=(1, 2))
+
+
+def grad_many_params_reference(model: Forecaster, params2d, instances: ForecastInstance,
+                               chunk: int = 32):
+    a, y = model.design_matrix(instances)
+    n = len(instances)
+    s = model.spec
+    out = np.empty_like(params2d)
+    at = np.ascontiguousarray(a.T)
+    for lo in range(0, params2d.shape[0], chunk):
+        block = params2d[lo:lo + chunk]
+        b = block.shape[0]
+        if s.architecture == "linear_ar":
+            r = np.matmul(a[None, :, :], block.reshape(-1, s.in_dim, s.out_dim)) - y
+            out[lo:lo + chunk] = ((2.0 / (n * s.out_dim)) * np.matmul(at[None, :, :], r)).reshape(b, -1)
+            continue
+        theta1, theta2 = _layers(model, block)
+        w2 = theta2[:, : s.hidden]
+        hid = _fold_forward(a, theta1)
+        pred = np.matmul(hid, w2)
+        if s.bias:
+            pred = pred + theta2[:, s.hidden][:, None, :]
+        dpred = (2.0 / (n * s.out_dim)) * (pred - y)
+        dz = np.matmul(dpred, w2.transpose(0, 2, 1)) * (1.0 - hid**2)
+        dz_flat = dz.transpose(1, 0, 2).reshape(a.shape[0], b * s.hidden)
+        parts = [(at @ dz_flat).reshape(s.in_dim, b, s.hidden).transpose(1, 0, 2).reshape(b, -1),
+                 np.matmul(hid.transpose(0, 2, 1), dpred).reshape(b, -1)]
+        if s.bias:
+            parts.append(dpred.sum(axis=1))
+        out[lo:lo + chunk] = np.concatenate(parts, axis=1)
+    return out
 
 
 def batch_grad_reference(model: Forecaster, params, instances: ForecastInstance):
@@ -120,8 +219,8 @@ def score_blocks_batch_reference(model: Forecaster, params, blocks: ForecastInst
     values = np.empty(len(blocks))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(blocks), chunk):
-            grads = model.grad_per_instance(params, blocks[lo:lo + chunk])
+            grads = grad_per_instance_reference(model, params, blocks[lo:lo + chunk])
             tuned, _ = optimizer_step_reference(params, grads, state)
-            losses = model.loss_many_params(np.vstack([params, tuned]), a, y)
+            losses = loss_many_params_reference(model, np.vstack([params, tuned]), a, y)
             values[lo:lo + chunk] = losses[0] - losses[1:]
     return values
