@@ -59,15 +59,12 @@ from .series import (
 from .synthetic import SyntheticSpec, generate
 from .valuation import (
     BlockScores,
-    FinetuneResult,
     PointScores,
     SampleScores,
     ValuationConfig,
     aggregate_points,
     aggregate_samples,
     block_instances,
-    block_value,
-    finetune_one_step,
     grad_inner_influence,
     value_all_blocks,
 )

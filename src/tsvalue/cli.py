@@ -20,7 +20,14 @@ from .config import RunConfig
 from .errors import ConfigError, DataError, NumericError, TsvalueError
 from .experiments import bench_scaling
 from .forecaster import Forecaster, ModelSpec, load_model, save_model, sliding_instances
-from .oracles import build_hessian, check_enumerable, loo_linear_oracle, mc_shapley, rank_agreement
+from .oracles import (
+    build_hessian,
+    check_enumerable,
+    exact_influence,
+    loo_linear_oracle,
+    mc_shapley,
+    rank_agreement,
+)
 from .pipeline import TrainSettings, ValuationRun, fit_value_model, run_valuation, spec_for_block_length
 from .reports import (
     write_ablation,
@@ -48,7 +55,13 @@ from .series import (
     split_holdout,
 )
 from .synthetic import generate, write_csv as write_series_csv
-from .valuation import ValuationConfig, block_instances, check_coverage, score_blocks_batch
+from .valuation import (
+    ValuationConfig,
+    block_instances,
+    check_coverage,
+    grad_inner_influence,
+    score_blocks_batch,
+)
 
 OUTPUT_DIR_ENV = "TSVALUE_OUT"
 
@@ -64,6 +77,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("ablate", "generalize") and cfg.model.checkpoint is not None:
             raise ConfigError(f"{args.command} trains its own value models and reads no "
                               f"model.checkpoint; remove it")
+        if args.command == "ablate":  # other commands accept any grid: they never read it
+            for length in cfg.ablation.block_lengths:
+                cfg.model.spec(length, channels=1)
         out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, out_dir)
@@ -311,8 +327,9 @@ def _oracle_blocks(cfg: RunConfig, t_target: int) -> tuple[np.ndarray, np.ndarra
     starts = segment_blocks((0, t_target), length, stride)
     scored = starts[0::2][:oc.max_blocks]
     context = starts[1::2][:oc.context_cap]
-    if not len(scored) or not len(context):
-        raise DataError("target split too short to form scored and context block sets")
+    if len(scored) < oc.min_blocks or not len(context):
+        raise DataError(f"target split too short: {len(scored)} scored and {len(context)} "
+                        f"context blocks, need {oc.min_blocks} and 1")
     if "shapley" in oc.methods and oc.shapley_mode == "enumerate":
         check_enumerable(len(scored))
     return scored, context
@@ -324,25 +341,21 @@ def _oracle_scores(method: str, cfg: RunConfig, model, params,
     oc = cfg.oracle_compare
     if method == "one_step":
         return score_blocks_batch(model, params, scored_insts, context_insts, vcfg).tolist()
-    if method in ("grad_inner", "exact_influence"):
-        # grad_inner_influence / exact_influence for every block at once: one
-        # context gradient, one block-gradient matrix and at most one solve
-        g_ctx = model.batch_grad(params, context_insts).grad
-        g_blocks = model.grad_per_instance(params, scored_insts)
-        if method == "grad_inner":
-            return (vcfg.learning_rate * (g_blocks @ g_ctx)).tolist()
+    if method == "grad_inner":
+        return grad_inner_influence(model, params, scored_insts, context_insts,
+                                    vcfg.learning_rate).tolist()
+    if method == "exact_influence":
         # empirical-loss Hessian over the model's whole training window set
         mode = "analytic" if model.spec.architecture == "linear_ar" else "finite_diff"
         hess = build_hessian(model, params, train_insts, mode=mode)
-        return (g_ctx @ hess.solve(g_blocks.T)).tolist()
+        return exact_influence(model, params, scored_insts, context_insts, hess).tolist()
     if method == "loo":  # the config admits it only for the linear model
         # the loo oracle refits a ridge system over the scored instances
         x, y = model.design_matrix(scored_insts)
         x_ctx, y_ctx = model.design_matrix(context_insts)
         hess = build_hessian(model, params, scored_insts, mode="analytic")
         ridge = hess.damping * len(scored_insts) / 2.0
-        return [loo_linear_oracle(x, y, ridge, i, x_ctx, y_ctx)
-                for i in range(len(scored_insts))]
+        return loo_linear_oracle(x, y, ridge, x_ctx, y_ctx).tolist()
     if method == "shapley":
         from .forecaster import train as train_fn
 

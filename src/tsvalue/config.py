@@ -151,6 +151,14 @@ class OracleCompareConfig:
         _known("shapley_mode", (self.shapley_mode,), SHAPLEY_MODES)
         require_at_least(self, 1, "max_blocks", "stride", "context_cap", "shapley_permutations")
         require_at_least(self, 0, "shapley_epochs")
+        require(self.max_blocks >= self.min_blocks,
+                f"max_blocks must be >= 3 to rank-compare two or more methods, "
+                f"got {self.max_blocks}")
+
+    @property
+    def min_blocks(self) -> int:
+        """Scored blocks a run needs: a rank agreement between two methods takes 3."""
+        return 3 if len(set(self.methods)) > 1 else 1
 
 
 @dataclass(frozen=True)

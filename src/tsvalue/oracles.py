@@ -109,39 +109,38 @@ def build_hessian(model: Forecaster, params: np.ndarray,
 
 
 def exact_influence(model: Forecaster, params: np.ndarray,
-                    z_target: ForecastInstance,
-                    z_context: ForecastInstance,
-                    hessian: HessianMatrix) -> float:
-    """Damped inverse-Hessian-weighted gradient product, positive = beneficial.
+                    blocks: ForecastInstance, context: ForecastInstance,
+                    hessian: HessianMatrix) -> np.ndarray:
+    """Damped inverse-Hessian-weighted gradient product per block, positive = beneficial.
 
-    Solves (H + lambda I) s = grad L(z_target) and returns grad L(z_context)^T s.
+    Solves (H + lambda I) S = G_blocks^T in one call and returns
+    grad L(context)^T S: one value per row of ``blocks``.
     """
-    g_target = model.batch_grad(params, z_target).grad
-    g_context = model.batch_grad(params, z_context).grad
-    s = hessian.solve(g_target)
-    return float(np.dot(g_context, s))
+    g_context = model.batch_grad(params, context).grad
+    g_blocks = model.grad_per_instance(params, blocks)
+    return g_context @ hessian.solve(g_blocks.T)
 
 
-def loo_linear_oracle(design: np.ndarray, targets: np.ndarray, ridge: float,
-                      index: int,
-                      context_design: np.ndarray | None = None,
-                      context_targets: np.ndarray | None = None) -> float:
-    """Exact context-loss change from dropping one row of a ridge problem.
+def loo_linear_oracle(x: np.ndarray, y: np.ndarray, ridge: float,
+                      x_ctx: np.ndarray | None = None,
+                      y_ctx: np.ndarray | None = None) -> np.ndarray:
+    """Exact context-loss change from dropping each row of a ridge problem.
 
-    Uses the rank-one downdate of (X^T X + ridge I) so no refit is needed.
-    The context defaults to the training rows themselves. Positive means the
-    removed point was helping the context.
+    Factors X^T X + ridge I once and takes every row's removal as a rank-one
+    downdate, so no refit is needed; a row of leverage 1 raises RankDeficient.
+    The context defaults to the training rows themselves. One value per row
+    of ``x``; positive means the removed row was helping the context.
     """
     from scipy import linalg as sla
 
-    x = np.asarray(design, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     if y.ndim == 1:
         y = y[:, None]
-    if context_design is None:
-        context_design, context_targets = x, y
-    x_ctx = np.asarray(context_design, dtype=np.float64)
-    y_ctx = np.asarray(context_targets, dtype=np.float64)
+    if x_ctx is None:
+        x_ctx, y_ctx = x, y
+    x_ctx = np.asarray(x_ctx, dtype=np.float64)
+    y_ctx = np.asarray(y_ctx, dtype=np.float64)
     if y_ctx.ndim == 1:
         y_ctx = y_ctx[:, None]
 
@@ -152,19 +151,20 @@ def loo_linear_oracle(design: np.ndarray, targets: np.ndarray, ridge: float,
         raise RankDeficient("X^T X + ridge*I is not positive definite") from None
     beta = sla.cho_solve(cho, x.T @ y)
 
-    xi = x[index]
-    u = sla.cho_solve(cho, xi)
-    leverage = float(xi @ u)
+    u = sla.cho_solve(cho, x.T)  # column i solves against row i
+    leverage = np.einsum("ij,ji->i", x, u)
     denom = 1.0 - leverage
-    if denom <= 1e-12:
-        raise RankDeficient(f"leverage {leverage:.6f} at row {index}; removal not solvable")
-    resid = y[index] - xi @ beta
-    beta_without = beta - np.outer(u, resid) / denom
+    unsolvable = np.flatnonzero(denom <= 1e-12)
+    if unsolvable.size:
+        i = int(unsolvable[0])
+        raise RankDeficient(f"leverage {leverage[i]:.6f} at row {i}; removal not solvable")
+    resid = y - x @ beta
 
     def ctx_loss(b):
         return float(np.mean((x_ctx @ b - y_ctx) ** 2))
 
-    return ctx_loss(beta_without) - ctx_loss(beta)
+    without = [ctx_loss(beta - np.outer(u[:, i], resid[i]) / denom[i]) for i in range(len(x))]
+    return np.array(without) - ctx_loss(beta)
 
 
 def brute_force_retrain(model: Forecaster, instances: ForecastInstance,

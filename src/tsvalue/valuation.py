@@ -70,12 +70,6 @@ class ValuationConfig:
 
 
 @dataclass(frozen=True)
-class FinetuneResult:
-    params_after: np.ndarray
-    delta_norm: float
-
-
-@dataclass(frozen=True)
 class BlockScores:
     """Scored blocks: block i is [starts[i], starts[i] + length)."""
 
@@ -115,40 +109,18 @@ def block_instances(series: TimeSeries, starts: np.ndarray, length: int,
     return sliding_instances(series.values, length - horizon, horizon, starts=starts)
 
 
-def finetune_one_step(model: Forecaster, params: np.ndarray,
-                      instance: ForecastInstance,
-                      config: ValuationConfig) -> FinetuneResult:
-    """Exactly one optimizer step on the instance loss; caller keeps the originals."""
-    g = model.batch_grad(params, instance).grad
-    params_after = np.array(params, dtype=np.float64)
-    optimizer_step(params_after, g, OptimizerState.fresh(config.optimizer(), params_after.shape))
-    return FinetuneResult(params_after=params_after,
-                          delta_norm=float(np.linalg.norm(params_after - params)))
-
-
-def block_value(model: Forecaster, params: np.ndarray,
-                block_instance: ForecastInstance,
-                context: ForecastInstance, config: ValuationConfig) -> float:
-    """Context loss drop after one finetune step on the block; score_blocks_batch's reference."""
-    if not context:
-        raise EmptyContext("block_value needs at least one context instance")
-    tuned = finetune_one_step(model, params, block_instance, config)
-    return model.batch_loss(params, context) - model.batch_loss(tuned.params_after, context)
-
-
 def grad_inner_influence(model: Forecaster, params: np.ndarray,
-                         block_instance: ForecastInstance,
-                         context: ForecastInstance,
-                         learning_rate: float) -> float:
-    """First-order prediction of the context loss drop: lr * <g_context, g_block>.
+                         blocks: ForecastInstance, context: ForecastInstance,
+                         learning_rate: float) -> np.ndarray:
+    """First-order prediction of each block's context loss drop: lr * <g_block, g_context>.
 
-    Sign convention matches :func:`block_value`: positive = beneficial.
+    One value per row of ``blocks``; the sign convention matches
+    :func:`score_blocks_batch`: positive = beneficial.
     """
     if not context:
         raise EmptyContext("grad_inner_influence needs at least one context instance")
-    g_ctx = model.batch_grad(params, context).grad
-    g_blk = model.batch_grad(params, block_instance).grad
-    return float(learning_rate * np.dot(g_ctx, g_blk))
+    g_context = model.batch_grad(params, context).grad
+    return learning_rate * (model.grad_per_instance(params, blocks) @ g_context)
 
 
 def value_all_blocks(series: TimeSeries, model: Forecaster, params: np.ndarray,
@@ -204,16 +176,18 @@ def score_blocks_batch(model: Forecaster, params: np.ndarray,
                        blocks: ForecastInstance,
                        context: ForecastInstance,
                        config: ValuationConfig) -> np.ndarray:
-    """:func:`block_value` for many blocks against one context set, in chunks.
+    """One-step score of every block against one context set, in chunks.
 
-    The context is stacked once. A chunk's gradients step the rows of a
-    chunk-high copy of ``params`` in one :func:`optimizer_step` call (SGD or
-    Adam, fresh state), and the context loss is taken for all its tuned rows
-    at once. A chunk of c blocks holds c x (n_context x width + P) floats,
-    width being the mlp's hidden size or the linear output size; c is the
-    largest count (at least 1) that fits in ``SCORE_CHUNK_FLOATS``. A
-    non-finite score, from a step that overflows the loss, raises
-    NonFiniteLoss: no caller gets an inf or a NaN.
+    Block i's score is L(context; params) - L(context; params after one
+    optimizer step on block i alone). The context is stacked once. A
+    chunk's gradients step the rows of a chunk-high copy of ``params`` in
+    one :func:`optimizer_step` call (SGD or Adam, fresh state), and the
+    context loss is taken for all its tuned rows at once. A chunk of c
+    blocks holds c x (n_context x width + P) floats, width being the mlp's
+    hidden size or the linear output size; c is the largest count (at
+    least 1) that fits in ``SCORE_CHUNK_FLOATS``. A non-finite score, from
+    a step that overflows the loss, raises NonFiniteLoss: no caller gets an
+    inf or a NaN.
     """
     if not context:
         raise EmptyContext("score_blocks_batch needs at least one context instance")

@@ -22,8 +22,8 @@ from tsvalue.valuation import (
     aggregate_points,
     aggregate_samples,
     block_instances,
-    block_value,
     grad_inner_influence,
+    score_blocks_batch,
 )
 
 from instance_sets import stack
@@ -91,9 +91,9 @@ def test_criterion_1_first_order_check(report):
         errs = {}
         for eta in (1e-2, 1e-3, 1e-4):
             config = ValuationConfig(block_length=10, learning_rate=eta)
-            v = block_value(model, params, block, ctx, config)
+            v = score_blocks_batch(model, params, block, ctx, config)
             fo = grad_inner_influence(model, params, block, ctx, eta)
-            errs[eta] = abs(v - fo)
+            errs[eta] = abs(v[0] - fo[0])
         c = errs[1e-2] / 1e-4
         if c < 1e-14:
             passing += 1  # flat pair: both sides zero to machine precision
@@ -125,11 +125,11 @@ def test_criterion_2_oracle_fidelity(report):
     assert len(scored) == 50
     ctx = block_instances(target, starts[1::2][:50], length, horizon)
     config = ValuationConfig(block_length=length, learning_rate=1e-5)
-    one_step = [block_value(model, params, b, ctx, config) for b in scored]
-    grad_inner = [grad_inner_influence(model, params, b, ctx, 1e-5) for b in scored]
+    one_step = score_blocks_batch(model, params, scored, ctx, config)
+    grad_inner = grad_inner_influence(model, params, scored, ctx, 1e-5)
     train_windows = sliding_instances(target.values, spec.lookback, horizon)
     hessian = build_hessian(model, params, train_windows, mode="analytic")
-    exact = [exact_influence(model, params, b, ctx, hessian) for b in scored]
+    exact = exact_influence(model, params, scored, ctx, hessian)
     sp_one = rank_agreement(one_step, exact)
     sp_grad = rank_agreement(grad_inner, exact)
     assert sp_one >= 0.8
@@ -162,13 +162,14 @@ def test_criterion_3_loo_ground_truth(report):
     worst = 0.0
     for seed in range(20):
         x, y, x_ctx, y_ctx, ridge = _ridge_problem(seed)
-        i = seed % len(y)
-        closed = loo_linear_oracle(x, y, ridge, i, x_ctx, y_ctx)
-        keep = np.arange(len(y)) != i
-        b_full, b_red = fit(x, y, ridge), fit(x[keep], y[keep], ridge)
-        brute = float(np.mean((x_ctx @ b_red - y_ctx) ** 2)
-                      - np.mean((x_ctx @ b_full - y_ctx) ** 2))
-        worst = max(worst, abs(closed - brute))
+        closed = loo_linear_oracle(x, y, ridge, x_ctx, y_ctx)
+        b_full = fit(x, y, ridge)
+        for i in range(len(y)):
+            keep = np.arange(len(y)) != i
+            b_red = fit(x[keep], y[keep], ridge)
+            brute = float(np.mean((x_ctx @ b_red - y_ctx) ** 2)
+                          - np.mean((x_ctx @ b_full - y_ctx) ** 2))
+            worst = max(worst, abs(closed[i] - brute))
     assert worst <= 1e-8
 
     agree = total = 0
@@ -184,11 +185,10 @@ def test_criterion_3_loo_ground_truth(report):
                     for i in range(len(y_ctx)))
         hessian = build_hessian(model, beta, insts, mode="analytic",
                                 damping=2.0 * ridge / n)
-        for i in range(n):
-            loo = loo_linear_oracle(x, y, ridge, i, x_ctx, y_ctx)
-            infl = exact_influence(model, beta, insts[i], ctx, hessian)
-            agree += np.sign(loo) == np.sign(infl)
-            total += 1
+        loo = loo_linear_oracle(x, y, ridge, x_ctx, y_ctx)
+        infl = exact_influence(model, beta, insts, ctx, hessian)
+        agree += int(np.sum(np.sign(loo) == np.sign(infl)))
+        total += n
     fraction = agree / total
     assert fraction >= 0.9
     report(3, "closed-form LOO equals refit; influence sign matches LOO sign",

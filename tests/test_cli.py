@@ -20,9 +20,11 @@ from tsvalue.config import RunConfig
 from tsvalue.errors import ConfigError
 from tsvalue.experiments import _bench_instances
 from tsvalue.forecaster import Forecaster, ModelSpec
-from tsvalue.oracles import build_hessian, exact_influence
+from tsvalue.oracles import build_hessian
 from tsvalue.synthetic import SyntheticSpec
-from tsvalue.valuation import ValuationConfig, grad_inner_influence
+from tsvalue.valuation import ValuationConfig
+
+import per_block_reference as per_block
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -530,6 +532,20 @@ class TestOracleCompare:
         self._fails_before_training(tmp_path, capsys, monkeypatch,
                                     {"valuation": {"block_length": 210}}, 2, "DataError")
 
+    def test_two_methods_on_two_blocks_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a rank agreement needs three scores
+        self._fails_before_training(tmp_path, capsys, monkeypatch, {
+            "oracle_compare": {"methods": ["one_step", "grad_inner"], "max_blocks": 2}},
+            1, "ConfigError")
+
+    def test_target_with_two_scored_blocks_exits_2(self, tmp_path, capsys, monkeypatch):
+        # 100-step blocks at stride 50 over the 210-step target start at 0, 50
+        # and 100; the scored set is the blocks at 0 and 100
+        self._fails_before_training(tmp_path, capsys, monkeypatch, {
+            "valuation": {"block_length": 100},
+            "oracle_compare": {"methods": ["one_step", "grad_inner"], "stride": 50}},
+            2, "DataError")
+
     def test_indefinite_hessian_exits_3_naming_the_method(self, tmp_path, capsys):
         # the trained mlp's empirical Hessian stays indefinite after the default damping
         path = write_config(tmp_path, {
@@ -566,11 +582,17 @@ class TestOracleCompare:
         mode = "analytic" if architecture == "linear_ar" else "finite_diff"
         hess = build_hessian(model, params, train, mode=mode)
         references = {
-            "grad_inner": [grad_inner_influence(model, params, z, context, 0.05)
+            "grad_inner": [per_block.grad_inner_influence(model, params, z, context, 0.05)
                            for z in scored],
-            "exact_influence": [exact_influence(model, params, z, context, hess)
+            "exact_influence": [per_block.exact_influence(model, params, z, context, hess)
                                 for z in scored],
         }
+        if architecture == "linear_ar":  # the config admits loo only for the linear model
+            x, y = model.design_matrix(scored)
+            x_ctx, y_ctx = model.design_matrix(context)
+            ridge = build_hessian(model, params, scored, mode="analytic").damping * len(scored) / 2
+            references["loo"] = [per_block.loo_linear_oracle(x, y, ridge, i, x_ctx, y_ctx)
+                                 for i in range(len(scored))]
         for method, ref in references.items():
             got = _oracle_scores(method, cfg, model, params, scored, context, train)
             ref = np.asarray(ref)
@@ -604,6 +626,14 @@ class TestOtherCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"tsvalue: exit={code} kind={kind}")
         assert fits == []
+
+    def test_bad_ablation_length_fails_before_reading_data(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"dataset": {"path": str(tmp_path / "no.csv")},
+                                       "ablation": {"block_lengths": [20, 2]}})
+        assert main(["ablate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("tsvalue: exit=1 kind=ConfigError ")
+        assert "block length 2" in err[0]
 
     def test_generalize_rows(self, tmp_path):
         path = write_config(tmp_path, {

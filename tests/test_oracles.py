@@ -20,6 +20,7 @@ from tsvalue.oracles import (
 from tsvalue.selection import detection_auroc
 
 from instance_sets import stack
+from per_block_reference import loo_linear_oracle as loo_linear_oracle_reference
 
 
 def scalar_model():
@@ -103,7 +104,7 @@ class TestExactInfluence:
         h = build_hessian(m, params, scalar_instance(1, 2), mode="analytic",
                           damping=0.0)
         assert exact_influence(m, params, scalar_instance(1, 2),
-                               scalar_instance(1, 1), h) == 0.0
+                               scalar_instance(1, 1), h).tolist() == [0.0]
 
     def test_scalar_solve(self):
         # H = 2, g_target = -4, g_context = -2: s = -2, influence = +4
@@ -112,7 +113,7 @@ class TestExactInfluence:
                           mode="analytic", damping=0.0)
         infl = exact_influence(m, np.zeros(1), scalar_instance(1, 2),
                                scalar_instance(1, 1), h)
-        assert abs(infl - 4.0) < 1e-12
+        assert infl.shape == (1,) and abs(infl[0] - 4.0) < 1e-12
 
     def test_linear_in_context_gradient(self):
         m = scalar_model()
@@ -122,7 +123,7 @@ class TestExactInfluence:
                               scalar_instance(1, 1), h)
         two = exact_influence(m, np.zeros(1), scalar_instance(1, 2),
                               scalar_instance(1, 2), h)
-        assert abs(two - 2 * one) < 1e-12
+        assert abs(two[0] - 2 * one[0]) < 1e-12
 
 
 def fit_ridge(x, y, ridge):
@@ -136,8 +137,8 @@ class TestLooLinearOracle:
         x[5] = x[2]
         y = x @ np.array([1.0, -2.0, 0.5])
         y[5] = y[2]
-        change = loo_linear_oracle(x, y, 1e-6, 5)
-        assert abs(change) < 1e-10
+        change = loo_linear_oracle(x, y, 1e-6)
+        assert change.shape == (10,) and abs(change[5]) < 1e-10
 
     def test_sole_informative_point_positive_change(self):
         # only row 1 sees the second coordinate; the context needs it
@@ -145,8 +146,8 @@ class TestLooLinearOracle:
         y = np.array([1.0, 2.0, 1.0])
         x_ctx = np.array([[0.0, 1.0]])
         y_ctx = np.array([2.0])
-        change = loo_linear_oracle(x, y, 1e-9, 1, x_ctx, y_ctx)
-        assert change > 0.1
+        change = loo_linear_oracle(x, y, 1e-9, x_ctx, y_ctx)
+        assert change[1] > 0.1
 
     def test_matches_brute_force_refit(self):
         rng = np.random.default_rng(7)
@@ -156,18 +157,43 @@ class TestLooLinearOracle:
             x = rng.normal(size=(n, d))
             y = x @ rng.normal(size=d) + 0.1 * rng.normal(size=n)
             ridge = 10 ** rng.uniform(-3, 1)
-            i = int(rng.integers(n))
-            closed = loo_linear_oracle(x, y, ridge, i)
-            keep = np.arange(n) != i
-            b_full, b_red = fit_ridge(x, y, ridge), fit_ridge(x[keep], y[keep], ridge)
-            brute = np.mean((x @ b_red - y) ** 2) - np.mean((x @ b_full - y) ** 2)
-            worst = max(worst, abs(closed - brute))
+            closed = loo_linear_oracle(x, y, ridge)
+            b_full = fit_ridge(x, y, ridge)
+            for i in range(n):
+                keep = np.arange(n) != i
+                b_red = fit_ridge(x[keep], y[keep], ridge)
+                brute = np.mean((x @ b_red - y) ** 2) - np.mean((x @ b_full - y) ** 2)
+                worst = max(worst, abs(closed[i] - brute))
         assert worst <= 1e-8
 
     def test_rank_deficient(self):
         x = np.zeros((4, 2))
         with pytest.raises(errors.RankDeficient):
-            loo_linear_oracle(x, np.zeros(4), 0.0, 0)
+            loo_linear_oracle(x, np.zeros(4), 0.0)
+
+    def test_leverage_one_names_the_first_such_row(self):
+        # rows 1 and 3 alone see their coordinates: removing either leaves it unfit
+        x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(errors.RankDeficient, match="at row 1;"):
+            loo_linear_oracle(x, np.ones(4), 0.0)
+
+    @pytest.mark.parametrize("n, d, out_dim", [(5, 1, 1), (12, 4, 1), (30, 6, 3), (60, 8, 2)])
+    @pytest.mark.parametrize("explicit_context", [False, True])
+    def test_every_row_matches_the_per_index_reference(self, n, d, out_dim, explicit_context):
+        rng = np.random.default_rng([n, d, out_dim])
+        w = rng.normal(size=(d, out_dim))
+        x = rng.normal(size=(n, d))
+        y = x @ w + 0.3 * rng.normal(size=(n, out_dim))
+        context = ()
+        if explicit_context:
+            x_ctx = rng.normal(size=(7, d))
+            context = (x_ctx, x_ctx @ w + 0.3 * rng.normal(size=(7, out_dim)))
+        ridge = 0.5
+        got = loo_linear_oracle(x, y, ridge, *context)
+        ref = np.array([loo_linear_oracle_reference(x, y, ridge, i, *context)
+                        for i in range(n)])
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestBruteForceRetrain:

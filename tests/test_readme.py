@@ -27,3 +27,5 @@ def test_library_surface_example_runs():
     assert blocks.starts.tolist() == tv.segment_blocks((0, target.length), blocks.length).tolist()
     assert run.point_scores.coverage.shape == (target.length,)
     assert report.n_selected == len(namespace["sel"].chosen) and np.isfinite(report.mse)
+    for scores in (namespace["first_order"], namespace["influence"]):
+        assert scores.shape == (len(blocks),) and np.isfinite(scores).all()

@@ -17,14 +17,13 @@ from tsvalue.valuation import (
     aggregate_points,
     aggregate_samples,
     block_instances,
-    block_value,
-    finetune_one_step,
     grad_inner_influence,
     score_blocks_batch,
     value_all_blocks,
 )
 
 from instance_sets import stack
+from per_block_reference import block_value, finetune_one_step
 from train_reference import score_blocks_batch_reference
 
 
@@ -61,6 +60,8 @@ class TestBlockInstances:
 
 
 class TestFinetuneOneStep:
+    """The step that ``block_value``, score_blocks_batch's per-block reference, takes."""
+
     def test_zero_learning_rate_degenerate(self):
         m = scalar_model()
         result = finetune_one_step(m, np.zeros(1), scalar_instance(1, 2), cfg(lr=0.0))
@@ -100,30 +101,31 @@ class TestFinetuneOneStep:
 
 
 class TestBlockValue:
+    """Hand values of the one-step score, through the engine."""
+
     def test_zero_learning_rate(self):
         m = scalar_model()
-        v = block_value(m, np.zeros(1), scalar_instance(1, 2),
-                        scalar_instance(1, 1), cfg(lr=0.0))
-        assert v == 0.0
+        v = score_blocks_batch(m, np.zeros(1), scalar_instance(1, 2),
+                               scalar_instance(1, 1), cfg(lr=0.0))
+        assert v.tolist() == [0.0]
 
     def test_scalar_hand_chain(self):
         # context loss 1 -> 0.36 after the step to w=0.4, so v = 0.64
         m = scalar_model()
-        v = block_value(m, np.zeros(1), scalar_instance(1, 2),
-                        scalar_instance(1, 1), cfg(lr=0.1))
-        assert abs(v - 0.64) < 1e-12
+        v = score_blocks_batch(m, np.zeros(1), scalar_instance(1, 2),
+                               scalar_instance(1, 1), cfg(lr=0.1))
+        assert v.shape == (1,) and abs(v[0] - 0.64) < 1e-12
 
     def test_self_context_positive_for_small_lr(self):
         m = scalar_model()
         inst = scalar_instance(1, 2)
-        v = block_value(m, np.zeros(1), inst, inst, cfg(lr=1e-4))
-        assert v > 0
+        assert score_blocks_batch(m, np.zeros(1), inst, inst, cfg(lr=1e-4))[0] > 0
 
     def test_empty_context(self):
         m = scalar_model()
         with pytest.raises(errors.EmptyContext):
-            block_value(m, np.zeros(1), scalar_instance(1, 2), scalar_instance(1, 2)[:0],
-                        cfg())
+            score_blocks_batch(m, np.zeros(1), scalar_instance(1, 2),
+                               scalar_instance(1, 2)[:0], cfg())
 
 
 class TestGradInnerInfluence:
@@ -131,11 +133,11 @@ class TestGradInnerInfluence:
         m = scalar_model()
         fo = grad_inner_influence(m, np.zeros(1), scalar_instance(1, 2),
                                   scalar_instance(1, 1), 0.1)
-        assert abs(fo - 0.8) < 1e-12
-        v = block_value(m, np.zeros(1), scalar_instance(1, 2),
-                        scalar_instance(1, 1), cfg(lr=0.1))
+        assert fo.shape == (1,) and abs(fo[0] - 0.8) < 1e-12
+        v = score_blocks_batch(m, np.zeros(1), scalar_instance(1, 2),
+                               scalar_instance(1, 1), cfg(lr=0.1))
         # exact quadratic gap: eta^2/2 * g' H g = 0.01/2 * (-4)*2*(-4) = 0.16
-        assert abs((fo - v) - 0.16) < 1e-12
+        assert abs((fo[0] - v[0]) - 0.16) < 1e-12
 
     def test_orthogonal_gradients(self):
         spec = ModelSpec("linear_ar", 2, 1, 1, bias=False)
@@ -143,14 +145,19 @@ class TestGradInnerInfluence:
         params = np.zeros(2)
         blk = ForecastInstance([[1.0], [0.0]], [[1.0]])   # gradient along w0
         ctx = ForecastInstance([[0.0], [1.0]], [[1.0]])   # gradient along w1
-        assert grad_inner_influence(m, params, blk, ctx, 0.1) == 0.0
+        assert grad_inner_influence(m, params, blk, ctx, 0.1).tolist() == [0.0]
 
     def test_context_at_minimum(self):
         m = scalar_model()
         params = np.array([1.0])
         blk = scalar_instance(1, 5)
         ctx = scalar_instance(1, 1)  # w=1 fits it exactly
-        assert grad_inner_influence(m, params, blk, ctx, 0.1) == 0.0
+        assert grad_inner_influence(m, params, blk, ctx, 0.1).tolist() == [0.0]
+
+    def test_empty_context(self):
+        with pytest.raises(errors.EmptyContext):
+            grad_inner_influence(scalar_model(), np.zeros(1), scalar_instance(1, 2),
+                                 scalar_instance(1, 2)[:0], 0.1)
 
 
 def make_series(t=60, seed=0, channels=1):
@@ -473,9 +480,9 @@ class TestFirstOrderConsistency:
         errs = {}
         for eta in (1e-2, 1e-3, 1e-4):
             config = ValuationConfig(block_length=5, learning_rate=eta)
-            v = block_value(m, params, block, ctx, config)
+            v = score_blocks_batch(m, params, block, ctx, config)
             fo = grad_inner_influence(m, params, block, ctx, eta)
-            errs[eta] = abs(v - fo)
+            errs[eta] = abs(v[0] - fo[0])
         c = errs[1e-2] / 1e-4
         for eta in (1e-3, 1e-4):
             assert errs[eta] <= 3 * c * eta**2
@@ -527,7 +534,7 @@ class TestSignSemantics:
             x_noise = rng.normal(size=(8, 1))
             noise_inst = ForecastInstance(x_noise, m.predict(params, x_noise) + 1.0)
             config = ValuationConfig(block_length=9, learning_rate=1e-4)
-            v_copy = block_value(m, params, ctx_inst, ctx_inst, config)
-            v_noise = block_value(m, params, noise_inst, ctx_inst, config)
+            v_copy, v_noise = score_blocks_batch(m, params, stack([ctx_inst, noise_inst]),
+                                                 ctx_inst, config)
             wins += v_copy > v_noise
         assert wins >= 18
