@@ -23,6 +23,7 @@ from .forecaster import Forecaster, ModelSpec, load_model, save_model, sliding_i
 from .oracles import (
     build_hessian,
     check_enumerable,
+    default_ridge,
     exact_influence,
     loo_linear_oracle,
     mc_shapley,
@@ -353,9 +354,8 @@ def _oracle_scores(method: str, cfg: RunConfig, model, params,
         # the loo oracle refits a ridge system over the scored instances
         x, y = model.design_matrix(scored_insts)
         x_ctx, y_ctx = model.design_matrix(context_insts)
-        hess = build_hessian(model, params, scored_insts, mode="analytic")
-        ridge = hess.damping * len(scored_insts) / 2.0
-        return loo_linear_oracle(x, y, ridge, x_ctx, y_ctx).tolist()
+        return loo_linear_oracle(x, y, default_ridge(x, model.spec.n_params),
+                                 x_ctx, y_ctx).tolist()
     if method == "shapley":
         from .forecaster import train as train_fn
 

@@ -15,8 +15,9 @@ row-major. ``Forecaster._unpack`` alone reads it, for a P-vector or for each
 row of a B x P matrix; every kernel reads and writes layers through it.
 Loss is mean squared error over all H*M target entries. Apart from
 ``optimizer_step``, which updates the params and optimizer state it is
-given in place, all operations are pure functions of their inputs (plus
-explicit seeds) and safe to run concurrently on shared parameter vectors.
+given in place, and the output buffers a caller may pass to a kernel, all
+operations are pure functions of their inputs (plus explicit seeds) and
+safe to run concurrently on shared parameter vectors.
 """
 
 from __future__ import annotations
@@ -189,21 +190,39 @@ class Forecaster:
 
     # --- forward / loss -----------------------------------------------------
 
-    def _forward(self, params2d: np.ndarray, a: np.ndarray):
+    def forward_floats(self, b: int, n: int) -> int:
+        """Float64 values in ``_forward``'s workspace for b param rows on n design rows."""
+        s = self.spec
+        if s.architecture == "linear_ar":
+            return b * n * s.out_dim
+        return b * (n * s.out_dim + (s.in_dim + n) * s.hidden)
+
+    def _forward(self, params2d: np.ndarray, a: np.ndarray, work: np.ndarray | None = None):
         """Predictions B x N x O for design rows a (N x D) under each row of a
         B x P parameter matrix, and the B x N x hidden tanh activations (None
         for linear_ar). The B first layers are folded into the columns of one
-        wide matmul rather than B skinny ones."""
+        wide matmul rather than B skinny ones.
+
+        Both results, and the wide first-layer weights, are views of ``work``,
+        a flat buffer of at least ``forward_floats(B, N)`` values, allocated
+        here when not given; a caller that passes one reuses it across calls.
+        """
+        b, n, o = params2d.shape[0], a.shape[0], self.spec.out_dim
+        if work is None:
+            work = np.empty(self.forward_floats(b, n))
+        pred, rest = work[:b * n * o].reshape(b, n, o), work[b * n * o:]
         layers = self._unpack(params2d)
         if self.spec.architecture == "linear_ar":
-            return np.matmul(a, layers[0]), None
+            return np.matmul(a, layers[0], out=pred), None
         w1, w2, bias = layers
-        b, d, h = w1.shape
-        z = (a @ w1.transpose(1, 0, 2).reshape(d, b * h)).reshape(a.shape[0], b, h)
-        hidden = np.tanh(z.transpose(1, 0, 2))
-        pred = hidden @ w2
+        d, h = w1.shape[1:]
+        wide = rest[:d * b * h].reshape(d, b * h)
+        wide.reshape(d, b, h)[:] = w1.transpose(1, 0, 2)
+        z = np.matmul(a, wide, out=rest[d * b * h:(d + n) * b * h].reshape(n, b * h))
+        hidden = np.tanh(z, out=z).reshape(n, b, h).transpose(1, 0, 2)
+        np.matmul(hidden, w2, out=pred)
         if bias is not None:
-            pred = pred + bias[:, None, :]
+            pred += bias[:, None, :]
         return pred, hidden
 
     def predict(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -276,15 +295,16 @@ class Forecaster:
         np.matmul(a.T, dz, out=g1)
         return GradientResult(loss=loss, grad=g)
 
-    def grad_per_instance(self, params: np.ndarray,
-                          instances: ForecastInstance) -> np.ndarray:
-        """N x P matrix of per-instance loss gradients."""
+    def grad_per_instance(self, params: np.ndarray, instances: ForecastInstance,
+                          out: np.ndarray | None = None) -> np.ndarray:
+        """N x P matrix of per-instance loss gradients, written into ``out`` if given."""
         if not instances:
             raise EmptyBatch("grad_per_instance needs at least one instance")
         a, y = self.design_matrix(instances)
         pred, hidden = self._forward(np.asarray(params)[None], a)
         dpred = (2.0 / self.spec.out_dim) * (pred[0] - y)
-        out = np.empty((len(instances), self.spec.n_params))
+        if out is None:
+            out = np.empty((len(instances), self.spec.n_params))
         grads = self._unpack(out)
         if hidden is None:  # linear_ar
             np.einsum("nd,no->ndo", a, dpred, out=grads[0])
@@ -304,9 +324,13 @@ class Forecaster:
     # parameter variants in Python would spend the time on interpreter overhead
     # instead of arithmetic.
 
-    def loss_many_params(self, params2d: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Mean loss on design rows ``(a, y)`` for each row of a B x P parameter matrix."""
-        return np.mean((self._forward(params2d, a)[0] - y) ** 2, axis=(1, 2))
+    def loss_many_params(self, params2d: np.ndarray, a: np.ndarray, y: np.ndarray,
+                         work: np.ndarray | None = None) -> np.ndarray:
+        """Mean loss on design rows ``(a, y)`` for each row of a B x P
+        parameter matrix; ``work`` is ``_forward``'s workspace."""
+        err, _ = self._forward(params2d, a, work)
+        err -= y
+        return np.mean(np.square(err, out=err), axis=(1, 2))
 
     def grad_many_params(self, params2d: np.ndarray,
                          instances: ForecastInstance,
@@ -400,13 +424,25 @@ class OptimizerState:
     v: np.ndarray | None = None  # Adam second moment
     scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
+    @staticmethod
+    def arrays(config: OptimizerConfig) -> int:
+        """How many params-shaped arrays a state of ``config`` holds: moments and scratch."""
+        return 4 if config.kind == "adam" else 2
+
     @classmethod
-    def fresh(cls, config: OptimizerConfig, shape: int | tuple[int, ...]) -> "OptimizerState":
-        """Step 0 for params of ``shape``: P, or B x P to step B param rows at once."""
-        scratch = (np.empty(shape), np.empty(shape))
+    def fresh(cls, config: OptimizerConfig, shape: int | tuple[int, ...],
+              buffer: np.ndarray | None = None) -> "OptimizerState":
+        """Step 0 for params of ``shape``: P, or B x P to step B param rows at once.
+
+        With ``buffer``, a flat array of at least ``arrays(config)`` times the
+        params' size, the moments and scratch are views of it, not new arrays.
+        """
+        shape = (cls.arrays(config),) + ((shape,) if np.ndim(shape) == 0 else tuple(shape))
+        views = np.empty(shape) if buffer is None else buffer[:math.prod(shape)].reshape(shape)
         if config.kind == "adam":
-            return cls(config, 0, np.zeros(shape), np.zeros(shape), scratch)
-        return cls(config, 0, scratch=scratch)
+            views[:2] = 0.0
+            return cls(config, 0, views[0], views[1], (views[2], views[3]))
+        return cls(config, 0, scratch=(views[0], views[1]))
 
 
 def optimizer_step(params: np.ndarray, grad: np.ndarray, state: OptimizerState) -> None:

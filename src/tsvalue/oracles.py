@@ -58,6 +58,13 @@ def default_damping(matrix: np.ndarray) -> float:
     return 1e-3 * float(np.trace(matrix)) / matrix.shape[0]
 
 
+def default_ridge(x: np.ndarray, n_params: int) -> float:
+    """The ridge of ``loo_linear_oracle`` on linear_ar design rows x (N x D):
+    1e-3 * ||x||_F^2 / P, which is ``default_damping`` of the analytic
+    Hessian over those rows times N / 2, with no P x P matrix formed."""
+    return 1e-3 * float(np.vdot(x, x)) / n_params
+
+
 def build_hessian(model: Forecaster, params: np.ndarray,
                   instances: ForecastInstance, mode: str = "analytic",
                   damping: float | None = None,

@@ -94,10 +94,6 @@ class HoldoutSplit:
     total: int
 
     @property
-    def target_range(self) -> tuple[int, int]:
-        return (0, self.target_end)
-
-    @property
     def test_range(self) -> tuple[int, int]:
         return (self.target_end, self.total)
 
@@ -109,9 +105,6 @@ class FoldPlan:
     k: int
     assignment: np.ndarray  # fold id per sample index
     seed: int
-
-    def indices_in(self, fold_id: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == fold_id)
 
 
 @dataclass(frozen=True)

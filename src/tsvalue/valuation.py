@@ -89,9 +89,6 @@ class PointScores:
     values: np.ndarray
     coverage: np.ndarray
 
-    def scored_mask(self) -> np.ndarray:
-        return self.coverage > 0
-
 
 @dataclass(frozen=True)
 class SampleScores:
@@ -166,9 +163,10 @@ def value_all_blocks(series: TimeSeries, model: Forecaster, params: np.ndarray,
                        length=config.block_length)
 
 
-# Working-set cap of one scoring chunk, in float64 values (512 KiB). At 1 MiB,
-# on a 2-vCPU Xeon, the chunk temporaries page-faulted in every chunk and
-# scoring ran slower.
+# Blocks per scoring chunk: the most (at least 1) whose c x (n_context x
+# width + P) floats fit in this many float64 values (512 KiB). It sizes the
+# workspace score_blocks_batch allocates once per call and reuses in every
+# chunk, and so bounds the peak memory of scoring, whatever the block count.
 SCORE_CHUNK_FLOATS = 2**16
 
 
@@ -179,33 +177,40 @@ def score_blocks_batch(model: Forecaster, params: np.ndarray,
     """One-step score of every block against one context set, in chunks.
 
     Block i's score is L(context; params) - L(context; params after one
-    optimizer step on block i alone). The context is stacked once. A
-    chunk's gradients step the rows of a chunk-high copy of ``params`` in
-    one :func:`optimizer_step` call (SGD or Adam, fresh state), and the
-    context loss is taken for all its tuned rows at once. A chunk of c
-    blocks holds c x (n_context x width + P) floats, width being the mlp's
-    hidden size or the linear output size; c is the largest count (at
-    least 1) that fits in ``SCORE_CHUNK_FLOATS``. A non-finite score, from
-    a step that overflows the loss, raises NonFiniteLoss: no caller gets an
-    inf or a NaN.
+    optimizer step on block i alone). The context is stacked, and its
+    pre-step loss taken, once per call. A chunk's gradients step the rows
+    of a chunk-high copy of ``params`` in one :func:`optimizer_step` call
+    (SGD or Adam, fresh state), and the context loss is taken for all its
+    tuned rows at once. A chunk of c blocks counts c x (n_context x width +
+    P) floats, width being the mlp's hidden size or the linear output size;
+    c is the largest count (at least 1) that fits in ``SCORE_CHUNK_FLOATS``.
+    The tuned rows and one flat workspace are allocated once per call and
+    reused by every chunk: the workspace holds a chunk's gradients and
+    optimizer state, then, once the step has spent them, its forward pass.
+    A non-finite score, from a step that overflows the loss, raises
+    NonFiniteLoss: no caller gets an inf or a NaN.
     """
     if not context:
         raise EmptyContext("score_blocks_batch needs at least one context instance")
-    spec = model.spec
+    spec, p = model.spec, model.spec.n_params
     width = spec.hidden if spec.architecture == "mlp" else spec.out_dim
-    chunk = max(1, SCORE_CHUNK_FLOATS // (len(context) * width + spec.n_params))
+    chunk = max(1, min(SCORE_CHUNK_FLOATS // (len(context) * width + p), len(blocks)))
     optimizer = config.optimizer()
     a, y = model.design_matrix(context)
+    rows = np.empty((chunk, p))
+    step_floats = (1 + OptimizerState.arrays(optimizer)) * chunk * p
+    work = np.empty(max(step_floats, model.forward_floats(chunk, len(context))))
     values = np.empty(len(blocks))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, once
+        before = model.loss_many_params(np.asarray(params)[None], a, y, work)[0]
         for lo in range(0, len(blocks), chunk):
-            grads = model.grad_per_instance(params, blocks[lo:lo + chunk])
-            # row 0 stays the untuned params: one kernel call, so a zero step scores 0
-            rows = np.empty((len(grads) + 1, spec.n_params))
-            rows[:] = params
-            optimizer_step(rows[1:], grads, OptimizerState.fresh(optimizer, grads.shape))
-            losses = model.loss_many_params(rows, a, y)
-            values[lo:lo + chunk] = losses[0] - losses[1:]
+            b = min(chunk, len(blocks) - lo)
+            grads = model.grad_per_instance(params, blocks[lo:lo + b],
+                                            out=work[:b * p].reshape(b, p))
+            tuned = rows[:b]
+            tuned[:] = params
+            optimizer_step(tuned, grads, OptimizerState.fresh(optimizer, (b, p), work[b * p:]))
+            values[lo:lo + b] = before - model.loss_many_params(tuned, a, y, work)
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
         raise NonFiniteLoss(f"{bad} of {len(values)} block scores are non-finite; "

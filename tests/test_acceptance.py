@@ -340,7 +340,7 @@ def test_criterion_8_determinism_and_invariants(tmp_path, report):
     scores = BlockScores(starts=np.arange(16), values=np.full(16, 0.42),
                          folds=np.zeros(16, dtype=np.int64), length=5)
     points = aggregate_points(scores, 20)
-    np.testing.assert_allclose(points.values[points.scored_mask()], 0.42)
+    np.testing.assert_allclose(points.values[points.coverage > 0], 0.42)
     samples = aggregate_samples(points, [SampleWindow(0, 10), SampleWindow(10, 10)])
     np.testing.assert_allclose(samples.values, 0.42)
 

@@ -12,6 +12,7 @@ from tsvalue.oracles import (
     average_ranks,
     brute_force_retrain,
     build_hessian,
+    default_ridge,
     exact_influence,
     loo_linear_oracle,
     mc_shapley,
@@ -131,6 +132,19 @@ def fit_ridge(x, y, ridge):
 
 
 class TestLooLinearOracle:
+    @pytest.mark.parametrize("lookback, horizon, channels, bias", [
+        (6, 2, 2, True), (20, 1, 1, True), (5, 3, 1, False), (40, 10, 3, True),
+    ])
+    def test_default_ridge_is_the_analytic_hessians_damping(self, lookback, horizon,
+                                                            channels, bias):
+        # the ridge oracle-compare's loo solves with, from the design rows alone
+        spec = ModelSpec("linear_ar", lookback, horizon, channels, bias=bias)
+        m = Forecaster(spec)
+        insts = rand_instances(spec, 23, seed=lookback)
+        x, _ = m.design_matrix(insts)
+        want = build_hessian(m, np.zeros(spec.n_params), insts).damping * len(insts) / 2
+        assert abs(default_ridge(x, spec.n_params) - want) <= 1e-12 * want
+
     def test_duplicate_point_removal_is_free(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(10, 3))

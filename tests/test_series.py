@@ -164,13 +164,13 @@ class TestSplitHoldout:
     def test_seventy_thirty(self):
         ts = TimeSeries(np.zeros((100, 1)), ("a",))
         split = split_holdout(ts, 0.3)
-        assert split.target_range == (0, 70)
+        assert split.target_end == 70
         assert split.test_range == (70, 100)
 
     def test_even_split(self):
         ts = TimeSeries(np.zeros((10, 1)), ("a",))
         split = split_holdout(ts, 0.5)
-        assert split.target_range == (0, 5) and split.test_range == (5, 10)
+        assert split.target_end == 5 and split.test_range == (5, 10)
 
     def test_target_too_short(self):
         ts = TimeSeries(np.zeros((3, 1)), ("a",))
@@ -249,13 +249,13 @@ class TestEnumerateSamples:
 class TestMakeFolds:
     def test_balanced(self):
         plan = make_folds(10, 5, seed=0)
-        sizes = [len(plan.indices_in(f)) for f in range(5)]
-        assert sizes == [2] * 5
-        assert sorted(np.concatenate([plan.indices_in(f) for f in range(5)])) == list(range(10))
+        members = [np.flatnonzero(plan.assignment == f) for f in range(5)]
+        assert [len(m) for m in members] == [2] * 5
+        assert sorted(np.concatenate(members)) == list(range(10))
 
     def test_uneven(self):
         plan = make_folds(11, 5, seed=1)
-        sizes = sorted(len(plan.indices_in(f)) for f in range(5))
+        sizes = sorted(len(np.flatnonzero(plan.assignment == f)) for f in range(5))
         assert sizes == [2, 2, 2, 2, 3]
 
     def test_deterministic(self):

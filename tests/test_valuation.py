@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsvalue import errors, valuation
-from tsvalue.forecaster import ForecastInstance, Forecaster, ModelSpec
+from tsvalue.forecaster import ForecastInstance, Forecaster, ModelSpec, sliding_instances
 from tsvalue.pipeline import TrainSettings, fit_value_model
 from tsvalue.series import SampleWindow, TimeSeries, segment_blocks
 from tsvalue.synthetic import SyntheticSpec, generate
@@ -339,6 +339,71 @@ class TestScoreBlocksBatch:
         want = score_blocks_batch_reference(m, params, blocks, ctx, config)
         assert got.tobytes() == want.tobytes()
 
+    # Benchmark-scale shapes under the real SCORE_CHUNK_FLOATS, where BLAS
+    # takes other kernel paths than at the toy sizes above: the select-eval
+    # mlp (hidden 64, P = 3,265) on 353 context rows, whose chunks hold
+    # 65536 // (353 * 64 + 3265) = 2 blocks, and the 3-channel linear_ar of
+    # long-series scoring (P = 1,794) on 240 rows, 26 blocks a chunk. Both
+    # block counts leave the last chunk partial.
+    @staticmethod
+    def scale_setup(architecture, n_blocks, n_context, optimizer_kind="sgd",
+                    learning_rate=1e-3):
+        if architecture == "mlp":
+            spec, channels = ModelSpec("mlp", 49, 1, 1, hidden=64, init_seed=3), 1
+        else:
+            spec, channels = ModelSpec("linear_ar", 199, 1, 3), 3
+        m = Forecaster(spec)
+        rng = np.random.default_rng(21)
+        params = m.init_params() + 0.05 * rng.normal(size=spec.n_params)
+        series = rng.normal(size=(n_blocks + n_context + spec.lookback, channels))
+        insts = sliding_instances(series, spec.lookback, spec.horizon)
+        config = ValuationConfig(block_length=spec.lookback + 1, learning_rate=learning_rate,
+                                 optimizer_kind=optimizer_kind)
+        return m, params, insts[:n_blocks], insts[n_blocks:n_blocks + n_context], config
+
+    @pytest.mark.parametrize("optimizer_kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("architecture, n_blocks, n_context, chunk", [
+        ("mlp", 7, 353, 2),
+        ("linear_ar", 60, 240, 26),
+    ], ids=["mlp", "linear_ar"])
+    def test_bitwise_equal_to_the_functional_step_at_benchmark_scale(
+            self, architecture, n_blocks, n_context, chunk, optimizer_kind):
+        m, params, blocks, ctx, config = self.scale_setup(
+            architecture, n_blocks, n_context, optimizer_kind)
+        spec = m.spec
+        width = spec.hidden if architecture == "mlp" else spec.out_dim
+        assert valuation.SCORE_CHUNK_FLOATS // (n_context * width + spec.n_params) == chunk
+        assert n_blocks % chunk != 0
+        got = score_blocks_batch(m, params, blocks, ctx, config)
+        want = score_blocks_batch_reference(m, params, blocks, ctx, config)
+        assert (got != 0.0).all()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("optimizer_kind", ["sgd", "adam"])
+    def test_zero_learning_rate_scores_exactly_zero_for_the_mlp(self, optimizer_kind):
+        # the pre-step loss is taken once per call, the tuned rows' losses in
+        # 2-block chunks: a zero step must still give each block exactly 0.0
+        m, params, blocks, ctx, config = self.scale_setup(
+            "mlp", 7, 353, optimizer_kind, learning_rate=0.0)
+        assert (score_blocks_batch(m, params, blocks, ctx, config) == 0.0).all()
+
+    def test_peak_memory_does_not_grow_with_the_block_count(self):
+        import tracemalloc
+
+        n = 60  # 26-block chunks: n and 10 n blocks both fill the workspace
+        m, params, blocks, ctx, config = self.scale_setup("linear_ar", 10 * n, 240)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for count in (n, 10 * n):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                score_blocks_batch(m, params, blocks[:count], ctx, config)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 10 * n * 8 + 16 * 1024
+
 
 def block_scores(starts, length, values):
     """A BlockScores of the given starts and values, every block in fold 0."""
@@ -374,7 +439,7 @@ class TestAggregatePoints:
 
     def test_constant_scores_fixpoint(self):
         points = aggregate_points(block_scores(range(5), 3, 0.7), 7)
-        np.testing.assert_allclose(points.values[points.scored_mask()], 0.7)
+        np.testing.assert_allclose(points.values[points.coverage > 0], 0.7)
 
     def test_interior_coverage_is_block_length(self):
         points = aggregate_points(block_scores(range(7), 4, 1.0), 10)  # stride 1, len 10
@@ -456,7 +521,7 @@ class TestAggregationLinearity:
         t = 12
         base_pts = aggregate_points(scores, t)
         new_pts = aggregate_points(scaled, t)
-        mask = base_pts.scored_mask()
+        mask = base_pts.coverage > 0
         np.testing.assert_allclose(new_pts.values[mask],
                                    alpha * base_pts.values[mask] + const,
                                    atol=1e-10)
