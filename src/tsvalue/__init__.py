@@ -48,7 +48,6 @@ from .series import (
     SampleWindow,
     TimeSeries,
     compute_norm_stats,
-    denormalize,
     enumerate_samples,
     load_csv,
     make_folds,

@@ -80,10 +80,6 @@ class TooFewSamples(DataError):
     pass
 
 
-class ZeroStd(DataError):
-    pass
-
-
 # --- forecaster ---
 
 class InvalidSpec(ConfigError):

@@ -383,30 +383,25 @@ def sliding_instances(values: np.ndarray, lookback: int, horizon: int,
 
 # --- optimizers --------------------------------------------------------------
 
+# The package's Adam: bias-corrected moments, each gradient row clipped to
+# ADAM_CLIP_NORM in L2 norm, and decoupled weight decay.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+ADAM_CLIP_NORM = 1.0
+ADAM_WEIGHT_DECAY = 0.1
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """SGD is plain theta - lr*g; Adam is bias-corrected with optional
-    global-norm gradient clipping and decoupled weight decay."""
+    """SGD is bare theta - lr*g; Adam is the package's Adam (``ADAM_*``)."""
 
     kind: str = "sgd"  # "sgd" | "adam"
     learning_rate: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float | None = None
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         require(self.kind in ("sgd", "adam"), f"unknown optimizer kind {self.kind!r}", InvalidSpec)
         require(self.learning_rate >= 0, "learning rate must be >= 0", InvalidSpec)
-
-    @classmethod
-    def default_for(cls, kind: str, learning_rate: float) -> "OptimizerConfig":
-        """Package defaults: bare SGD; Adam with clip 1.0 and weight decay 0.1."""
-        if kind == "adam":
-            return cls(kind="adam", learning_rate=learning_rate,
-                       clip_norm=1.0, weight_decay=0.1)
-        return cls(kind=kind, learning_rate=learning_rate)
 
 
 @dataclass(eq=False)
@@ -415,19 +410,19 @@ class OptimizerState:
 
     Build it with :meth:`fresh`. ``optimizer_step`` advances ``step`` and,
     for Adam, the moments ``m`` and ``v`` in place, and keeps its
-    temporaries in the two scratch buffers.
+    temporaries in the scratch arrays: one for SGD, two for Adam.
     """
 
     config: OptimizerConfig
     step: int = 0
     m: np.ndarray | None = None  # Adam first moment
     v: np.ndarray | None = None  # Adam second moment
-    scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    scratch: tuple[np.ndarray, ...] = field(default=(), repr=False)
 
     @staticmethod
     def arrays(config: OptimizerConfig) -> int:
         """How many params-shaped arrays a state of ``config`` holds: moments and scratch."""
-        return 4 if config.kind == "adam" else 2
+        return 4 if config.kind == "adam" else 1
 
     @classmethod
     def fresh(cls, config: OptimizerConfig, shape: int | tuple[int, ...],
@@ -442,7 +437,7 @@ class OptimizerState:
         if config.kind == "adam":
             views[:2] = 0.0
             return cls(config, 0, views[0], views[1], (views[2], views[3]))
-        return cls(config, 0, scratch=(views[0], views[1]))
+        return cls(config, 0, scratch=(views[0],))
 
 
 def optimizer_step(params: np.ndarray, grad: np.ndarray, state: OptimizerState) -> None:
@@ -450,43 +445,42 @@ def optimizer_step(params: np.ndarray, grad: np.ndarray, state: OptimizerState) 
 
     Rows of a B x P ``params`` step independently, each by its row of
     ``grad``. A NaN or Inf gradient raises NonFiniteGradient before anything
-    is written. With clipping, each row's gradient is scaled to at most
-    ``clip_norm`` in L2 norm; a row whose squared norm overflows takes a zero
-    gradient. The arithmetic, operation by operation, is that of the
-    textbook SGD and Adam formulas, so results do not depend on the buffers.
+    is written. Adam scales each row's gradient to at most ``ADAM_CLIP_NORM``
+    in L2 norm; a row whose squared norm overflows takes a zero gradient.
+    The arithmetic, operation by operation, is that of the textbook SGD and
+    Adam formulas, so results do not depend on the buffers.
     """
     cfg, g = state.config, grad
-    if cfg.clip_norm is not None:
-        # the same dot product as np.linalg.norm, so 1-D steps match it bitwise
-        norm = np.sqrt(g[..., None, :] @ g[..., :, None])[..., 0]
-        largest = norm.max(initial=0.0)  # NaN if any row's norm is
+    if cfg.kind == "sgd":
+        if not np.isfinite(g).all():
+            raise NonFiniteGradient("gradient contains NaN or Inf")
+        state.step += 1
+        params -= np.multiply(g, cfg.learning_rate, out=state.scratch[0])
+        return
+    # the same dot product as np.linalg.norm, so 1-D steps match it bitwise
+    norm = np.sqrt(g[..., None, :] @ g[..., :, None])[..., 0]
+    largest = norm.max(initial=0.0)  # NaN if any row's norm is
     # a finite sum of squares has finite terms: scan g only when that is unknown
-    if (cfg.clip_norm is None or not math.isfinite(largest)) and not np.isfinite(g).all():
+    if not math.isfinite(largest) and not np.isfinite(g).all():
         raise NonFiniteGradient("gradient contains NaN or Inf")
     s1, s2 = state.scratch
-    if cfg.clip_norm is not None and largest > cfg.clip_norm:
+    if largest > ADAM_CLIP_NORM:
         # rows within the norm are multiplied by exactly 1.0, so unchanged
-        g = np.multiply(g, cfg.clip_norm / np.maximum(norm, cfg.clip_norm), out=s2)
+        g = np.multiply(g, ADAM_CLIP_NORM / np.maximum(norm, ADAM_CLIP_NORM), out=s2)
     state.step += 1
-    if cfg.kind == "sgd":
-        if cfg.weight_decay:
-            g = np.add(g, np.multiply(params, cfg.weight_decay, out=s1), out=s1)
-        params -= np.multiply(g, cfg.learning_rate, out=s1)
-        return
     m, v = state.m, state.v
-    m *= cfg.beta1
-    m += np.multiply(g, 1.0 - cfg.beta1, out=s1)
-    v *= cfg.beta2
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
+    v *= ADAM_BETA2
     np.multiply(g, g, out=s1)
-    s1 *= 1.0 - cfg.beta2
+    s1 *= 1.0 - ADAM_BETA2
     v += s1
-    np.divide(v, 1.0 - cfg.beta2**state.step, out=s1)  # v_hat
+    np.divide(v, 1.0 - ADAM_BETA2**state.step, out=s1)  # v_hat
     np.sqrt(s1, out=s1)
-    s1 += cfg.eps
-    update = np.divide(m, 1.0 - cfg.beta1**state.step, out=s2)  # m_hat
+    s1 += ADAM_EPS
+    update = np.divide(m, 1.0 - ADAM_BETA1**state.step, out=s2)  # m_hat
     update /= s1
-    if cfg.weight_decay:
-        update += np.multiply(params, cfg.weight_decay, out=s1)
+    update += np.multiply(params, ADAM_WEIGHT_DECAY, out=s1)
     update *= cfg.learning_rate
     params -= update
 

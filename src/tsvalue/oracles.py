@@ -2,9 +2,9 @@
 
 These are the expensive routes the one-step estimator is meant to
 approximate: a dense damped-Hessian influence solve, closed-form
-leave-one-out for ridge systems, brute-force retraining, and truncated
-Monte Carlo Shapley. All report "positive = beneficial" so rank
-comparisons across methods need no sign flips.
+leave-one-out for ridge systems, brute-force retraining, and Monte Carlo
+Shapley. All report "positive = beneficial" so rank comparisons across
+methods need no sign flips.
 """
 
 from __future__ import annotations
@@ -218,15 +218,13 @@ def check_enumerable(n_blocks: int) -> None:
 
 def mc_shapley(n_blocks: int, utility: Callable[[tuple[int, ...]], float],
                n_permutations: int = 200, seed: int = 0,
-               truncation_tol: float = 0.0,
                mode: str = "mc") -> ShapleyEstimate:
     """Shapley values of a set utility over block indices.
 
     ``enumerate`` mode (n_blocks <= 8) sums the exact subset-weighted
     marginals; ``mc`` averages marginal contributions over seeded random
-    permutations, truncating a permutation once the running prefix utility
-    is within ``truncation_tol`` of the full-set utility. Utilities must be
-    deterministic functions of the subset; they are cached.
+    permutations. Utilities must be deterministic functions of the subset;
+    they are cached.
     """
     cache: dict[frozenset, float] = {}
 
@@ -258,17 +256,12 @@ def mc_shapley(n_blocks: int, utility: Callable[[tuple[int, ...]], float],
     if mode != "mc":
         raise ValueError(f"unknown Shapley mode {mode!r}")
     rng = np.random.default_rng(seed)
-    u_full = u(frozenset(range(n_blocks)))
     marginals = np.zeros((n_permutations, n_blocks))
     for p in range(n_permutations):
         order = rng.permutation(n_blocks)
         prefix: frozenset = frozenset()
         u_prev = u(prefix)
-        truncated = False
         for k in order:
-            if truncated or abs(u_prev - u_full) < truncation_tol:
-                truncated = True
-                continue  # marginal stays 0
             prefix = prefix | {int(k)}
             u_cur = u(prefix)
             marginals[p, k] = u_cur - u_prev

@@ -47,7 +47,7 @@ class TrainSettings:
         self.optimizer()  # rejects an unknown optimizer kind or a negative learning rate
 
     def optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig.default_for(self.optimizer_kind, self.learning_rate)
+        return OptimizerConfig(self.optimizer_kind, self.learning_rate)
 
 
 @dataclass(frozen=True)

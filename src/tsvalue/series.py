@@ -27,7 +27,6 @@ from .errors import (
     SampleLongerThanRange,
     TargetTooShort,
     TooFewSamples,
-    ZeroStd,
 )
 
 _TIMESTAMP_HEADERS = {"timestamp", "time", "date", "datetime"}
@@ -308,22 +307,13 @@ def make_folds(n_samples: int, k: int, seed: int) -> FoldPlan:
     return FoldPlan(k=k, assignment=assignment, seed=seed)
 
 
-def compute_norm_stats(series: TimeSeries, target_end: int,
-                       on_constant: str = "unit") -> NormStats:
-    """Per-channel mean/std over [0, target_end).
-
-    Constant channels get std = 1 and are recorded (``on_constant="unit"``),
-    or rejected (``on_constant="reject"``).
-    """
+def compute_norm_stats(series: TimeSeries, target_end: int) -> NormStats:
+    """Per-channel mean/std over [0, target_end); constant channels get std = 1 and are recorded."""
     target = series.values[:target_end]
     mean = target.mean(axis=0)
     std = target.std(axis=0)
     constant = np.flatnonzero(std == 0.0)
-    if constant.size:
-        if on_constant == "reject":
-            raise ZeroStd(f"constant channels {constant.tolist()} have zero std")
-        std = std.copy()
-        std[constant] = 1.0
+    std[constant] = 1.0
     mean.setflags(write=False)
     std.setflags(write=False)
     return NormStats(mean=mean, std=std, constant_channels=tuple(int(c) for c in constant))
@@ -332,10 +322,4 @@ def compute_norm_stats(series: TimeSeries, target_end: int,
 def normalize(series: TimeSeries, stats: NormStats) -> TimeSeries:
     """Per-channel z-score transform."""
     values = (series.values - stats.mean) / stats.std
-    return TimeSeries(values, series.channel_names, series.origin)
-
-
-def denormalize(series: TimeSeries, stats: NormStats) -> TimeSeries:
-    """Inverse of :func:`normalize`; restores original units."""
-    values = series.values * stats.std + stats.mean
     return TimeSeries(values, series.channel_names, series.origin)

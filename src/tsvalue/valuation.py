@@ -66,7 +66,7 @@ class ValuationConfig:
         return self.sample_length if self.sample_length is not None else self.block_length
 
     def optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig.default_for(self.optimizer_kind, self.learning_rate)
+        return OptimizerConfig(self.optimizer_kind, self.learning_rate)
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,9 @@ def value_all_blocks(series: TimeSeries, model: Forecaster, params: np.ndarray,
 # width + P) floats fit in this many float64 values (512 KiB). It sizes the
 # workspace score_blocks_batch allocates once per call and reuses in every
 # chunk, and so bounds the peak memory of scoring, whatever the block count.
+# That workspace holds the larger of the forward pass and the step: c x P
+# gradients plus the optimizer state, (1 + 1) x c x P floats for SGD and
+# (1 + 4) x c x P for Adam.
 SCORE_CHUNK_FLOATS = 2**16
 
 

@@ -276,7 +276,7 @@ def test_criterion_7_shapley_axioms(report):
         x = rng.normal(size=4)
         ctx.append(ForecastInstance(x[:, None], [[float(w @ x)]]))
     ctx = stack(ctx)
-    opt = tv.OptimizerConfig.default_for("adam", 0.05)
+    opt = tv.OptimizerConfig("adam", 0.05)
 
     def utility(subset):
         if not subset:

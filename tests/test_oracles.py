@@ -214,7 +214,7 @@ class TestBruteForceRetrain:
     def setup_method(self):
         self.spec = ModelSpec("linear_ar", 3, 1, 1)
         self.model = Forecaster(self.spec)
-        self.opt = OptimizerConfig.default_for("adam", 0.05)
+        self.opt = OptimizerConfig("adam", 0.05)
 
     def linear_instances(self, rng, n, w):
         out = []
@@ -242,7 +242,7 @@ class TestBruteForceRetrain:
                                           [[float(w @ x + 0.5 * rng.normal())]]))
         insts = stack(insts + [insts[0]])  # duplicate; removing index 0 leaves a copy
         ctx = self.linear_instances(rng, 8, w)
-        opt = OptimizerConfig.default_for("adam", 0.05)
+        opt = OptimizerConfig("adam", 0.05)
         changes = [brute_force_retrain(self.model, insts, i, ctx, 400,
                                        len(insts), opt, seed=0)
                    for i in range(len(insts))]
@@ -316,13 +316,6 @@ class TestMcShapley:
     def test_nonfinite_utility(self):
         with pytest.raises(errors.NonFiniteUtility):
             mc_shapley(3, lambda s: float("nan"), mode="enumerate")
-
-    def test_truncation_zeroes_tail_marginals(self):
-        # u saturates once any block is present: later blocks add nothing
-        def u(subset):
-            return 1.0 if subset else 0.0
-        full = mc_shapley(4, u, n_permutations=200, seed=0, truncation_tol=1e-9)
-        assert abs(full.values.sum() - 1.0) <= 1e-9
 
 
 class TestRankAgreement:

@@ -1,4 +1,4 @@
-"""The README's "Library surface" example, run as written."""
+"""The README's "Library surface" example, run as written, and its ``tv.`` names."""
 
 import re
 from pathlib import Path
@@ -15,6 +15,21 @@ def library_surface_code() -> str:
     section = README.read_text(encoding="utf-8").split("\n## Library surface\n", 1)[1]
     section = section.split("\n## ", 1)[0]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_every_tv_name_resolves():
+    """Each ``tv.<name>`` (and ``tv.<name>.<attr>``) the README names exists on tsvalue."""
+    chains = set(re.findall(r"\btv((?:\.[A-Za-z_]\w*)+)", README.read_text(encoding="utf-8")))
+    assert chains
+    missing = []
+    for chain in sorted(chains):
+        obj = tv
+        for name in chain[1:].split("."):
+            if not hasattr(obj, name):
+                missing.append(f"tv{chain}")
+                break
+            obj = getattr(obj, name)
+    assert not missing, f"README names what tsvalue lacks: {missing}"
 
 
 def test_library_surface_example_runs():

@@ -27,32 +27,32 @@ class ReferenceState:
     v: np.ndarray | None = None
 
     @classmethod
-    def fresh(cls, config: OptimizerConfig, n_params: int) -> "ReferenceState":
+    def fresh(cls, config: OptimizerConfig, shape) -> "ReferenceState":
         if config.kind == "adam":
-            return cls(config=config, step=0, m=np.zeros(n_params), v=np.zeros(n_params))
+            return cls(config=config, step=0, m=np.zeros(shape), v=np.zeros(shape))
         return cls(config=config, step=0)
 
 
 def optimizer_step_reference(params, grad, state: ReferenceState):
+    """Bare SGD, or Adam with global-norm clip 1.0 and decoupled weight decay 0.1.
+
+    The settings are written out here, not read from the package, so this
+    stays an independent check of its constants.
+    """
     if not np.isfinite(grad).all():
         raise NonFiniteGradient("gradient contains NaN or Inf")
     cfg = state.config
-    g = grad
-    if cfg.clip_norm is not None:
-        norm = np.sqrt(g[..., None, :] @ g[..., :, None])[..., 0]
-        g = g * (cfg.clip_norm / np.maximum(norm, cfg.clip_norm))
     if cfg.kind == "sgd":
-        if cfg.weight_decay:
-            g = g + cfg.weight_decay * params
-        return params - cfg.learning_rate * g, replace(state, step=state.step + 1)
+        return params - cfg.learning_rate * grad, replace(state, step=state.step + 1)
+    beta1, beta2, eps, clip_norm, weight_decay = 0.9, 0.999, 1e-8, 1.0, 0.1
+    norm = np.sqrt(grad[..., None, :] @ grad[..., :, None])[..., 0]
+    g = grad * (clip_norm / np.maximum(norm, clip_norm))
     step = state.step + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g**2
-    m_hat = m / (1.0 - cfg.beta1**step)
-    v_hat = v / (1.0 - cfg.beta2**step)
-    update = m_hat / (np.sqrt(v_hat) + cfg.eps)
-    if cfg.weight_decay:
-        update = update + cfg.weight_decay * params
+    m = beta1 * state.m + (1.0 - beta1) * g
+    v = beta2 * state.v + (1.0 - beta2) * g**2
+    m_hat = m / (1.0 - beta1**step)
+    v_hat = v / (1.0 - beta2**step)
+    update = m_hat / (np.sqrt(v_hat) + eps) + weight_decay * params
     return params - cfg.learning_rate * update, replace(state, step=step, m=m, v=v)
 
 
