@@ -210,18 +210,23 @@ class TestOptimizerStep:
         np.testing.assert_array_equal(params, [1.0, 2.0, 3.0])
         assert state.step == 1
 
+    @pytest.mark.parametrize("rows", [0, 3], ids=["P", "BxP"])
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_gradient(self, kind, bad):
+    def test_nonfinite_gradient(self, kind, bad, rows):
+        # with B x P rows, one bad entry in the last row stops every row's step
+        shape = (rows, 3) if rows else (3,)
         cfg = OptimizerConfig(kind, 0.1)
-        state = OptimizerState.fresh(cfg, 3)
-        params = np.array([1.0, -2.0, 3.0])
-        optimizer_step(params, np.array([0.5, 0.25, -1.0]), state)
+        state = OptimizerState.fresh(cfg, shape)
+        params = np.broadcast_to([1.0, -2.0, 3.0], shape).copy()
+        grad = np.broadcast_to([0.5, 0.25, -1.0], shape).copy()
+        optimizer_step(params, grad, state)
         before = (params.copy(), state.step,
                   None if state.m is None else state.m.copy(),
                   None if state.v is None else state.v.copy())
+        grad.reshape(-1, 3)[-1, 1] = bad
         with pytest.raises(errors.NonFiniteGradient):
-            optimizer_step(params, np.array([0.5, bad, -1.0]), state)
+            optimizer_step(params, grad, state)
         assert params.tobytes() == before[0].tobytes() and state.step == before[1] == 1
         if kind == "adam":
             assert state.m.tobytes() == before[2].tobytes()
@@ -242,6 +247,24 @@ class TestOptimizerStep:
         optimizer_step(zero_step, np.zeros(3), OptimizerState.fresh(cfg, 3))
         assert params.tobytes() == zero_step.tobytes()
 
+    def test_overflowing_row_leaves_the_other_rows_alone(self):
+        # among B x P rows, only the overflowing row takes the zero-gradient step
+        cfg = OptimizerConfig("adam", 0.1)
+        grad = np.array([[0.5, 0.25, -1.0], [1e200, -1e200, 1.0], [3.0, -4.0, 0.0]])
+        params = np.array([[1.0, -2.0, 3.0]] * 3)
+        with np.errstate(over="ignore"):
+            optimizer_step(params, grad, OptimizerState.fresh(cfg, params.shape))
+        for i, g in enumerate((grad[0], np.zeros(3), grad[2])):
+            row = np.array([1.0, -2.0, 3.0])
+            optimizer_step(row, g, OptimizerState.fresh(cfg, 3))
+            assert params[i].tobytes() == row.tobytes()
+
+    def test_adam_always_decays(self):
+        # a zero gradient leaves m_hat = 0, so the step is the weight decay alone
+        params = np.array([2.0, -4.0])
+        optimizer_step(params, np.zeros(2), OptimizerState.fresh(OptimizerConfig("adam", 0.5), 2))
+        np.testing.assert_allclose(params, [2.0 - 0.5 * 0.1 * 2.0, -4.0 + 0.5 * 0.1 * 4.0])
+
     @pytest.mark.parametrize("cfg", OPTIMIZER_GRID, ids=optimizer_id)
     def test_rows_step_like_single_vectors(self, cfg):
         rng = np.random.default_rng(4)
@@ -260,15 +283,18 @@ class TestOptimizerStep:
                 optimizer_step(row, grads[i], row_state)
             assert rows[i].tobytes() == row.tobytes()
 
+    @pytest.mark.parametrize("buffer", [False, True], ids=["own", "nan-buffer"])
     @pytest.mark.parametrize("shape", [(9,), (4, 9)], ids=["P", "BxP"])
     @pytest.mark.parametrize("cfg", OPTIMIZER_GRID, ids=optimizer_id)
-    def test_matches_the_functional_reference(self, cfg, shape):
+    def test_matches_the_functional_reference(self, cfg, shape, buffer):
         # five steps: small, mixed, clipped, zero and mid-size gradients;
-        # B x P rows are scaled apart, so one step clips some rows and not others
+        # B x P rows are scaled apart, so one step clips some rows and not others.
+        # A caller's buffer full of NaN must not change a bit of the result.
         rng = np.random.default_rng(5)
         params = rng.normal(size=shape)
         want, ref_state = params.copy(), ReferenceState.fresh(cfg, shape)
-        state = OptimizerState.fresh(cfg, shape)
+        work = np.full(OptimizerState.arrays(cfg) * params.size, np.nan) if buffer else None
+        state = OptimizerState.fresh(cfg, shape, work)
         rows = np.array([[1.0], [0.05], [3.0], [0.4]])[:shape[0]] if len(shape) == 2 else 1.0
         norms = []
         for scale in (0.01, 1.0, 50.0, 0.0, 2.0):
@@ -288,6 +314,16 @@ class TestOptimizerStep:
         optimizer_step(np.zeros(2), g, state)
         np.testing.assert_allclose(state.m, [0.06, 0.08])  # (1 - beta1) x clipped g
         np.testing.assert_array_equal(g, [3.0, 4.0])
+
+    def test_config_holds_only_kind_and_learning_rate(self):
+        assert [f.name for f in fields(OptimizerConfig)] == ["kind", "learning_rate"]
+        with pytest.raises(TypeError):
+            OptimizerConfig("adam", 0.1, clip_norm=1.0)
+
+    @pytest.mark.parametrize("kind, lr", [("rmsprop", 0.1), ("sgd", -1.0), ("adam", -1e-3)])
+    def test_config_rejects(self, kind, lr):
+        with pytest.raises(errors.InvalidSpec):
+            OptimizerConfig(kind, lr)
 
     def test_sgd_state_is_one_params_sized_array(self):
         assert OptimizerState.arrays(OptimizerConfig("sgd", 0.1)) == 1

@@ -313,9 +313,16 @@ class TestMcShapley:
         with pytest.raises(errors.PTooLarge):
             mc_shapley(10, lambda s: 0.0, mode="enumerate")
 
-    def test_nonfinite_utility(self):
+    @pytest.mark.parametrize("mode", ["enumerate", "mc"])
+    def test_nonfinite_utility(self, mode):
         with pytest.raises(errors.NonFiniteUtility):
-            mc_shapley(3, lambda s: float("nan"), mode="enumerate")
+            mc_shapley(3, lambda s: float("nan"), mode=mode)
+
+    def test_nonfinite_full_set_utility_raises_in_mc(self):
+        # every permutation ends at the full set, so its utility is always reached
+        with pytest.raises(errors.NonFiniteUtility, match=r"\[0, 1, 2\]"):
+            mc_shapley(3, lambda s: float("inf") if len(s) == 3 else float(len(s)),
+                       n_permutations=1, seed=0)
 
 
 class TestRankAgreement:

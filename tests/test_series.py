@@ -299,6 +299,23 @@ class TestNormalize:
         assert stats.constant_channels == (0,)
         assert stats.std[0] == 1.0
 
+    def test_constant_channel_among_varying_ones(self):
+        # only the constant channel gets std 1; it normalizes to zeros
+        values = np.array([[1.0, 7.0, 0.0], [2.0, 7.0, 4.0], [3.0, 7.0, 8.0], [9.0, 0.0, 9.0]])
+        ts = TimeSeries(values, ("a", "b", "c"))
+        stats = compute_norm_stats(ts, 3)
+        assert stats.constant_channels == (1,)
+        np.testing.assert_array_equal(stats.std, [values[:3, 0].std(), 1.0, values[:3, 2].std()])
+        np.testing.assert_array_equal(normalize(ts, stats).values[:3, 1], 0.0)
+
+    def test_stats_are_read_only_and_leave_the_series_alone(self):
+        values = np.array([[1.0, 5.0], [3.0, 5.0]])
+        ts = TimeSeries(values, ("a", "b"))
+        stats = compute_norm_stats(ts, 2)
+        np.testing.assert_array_equal(ts.values, values)
+        for arr in (stats.mean, stats.std):
+            assert not arr.flags.writeable and not np.shares_memory(arr, ts.values)
+
 
 class TestTimeSeriesType:
     def test_rejects_nonfinite(self):

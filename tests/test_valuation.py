@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsvalue import errors, valuation
-from tsvalue.forecaster import ForecastInstance, Forecaster, ModelSpec, sliding_instances
+from tsvalue.forecaster import (
+    ForecastInstance,
+    Forecaster,
+    ModelSpec,
+    OptimizerConfig,
+    sliding_instances,
+)
 from tsvalue.pipeline import TrainSettings, fit_value_model
 from tsvalue.series import SampleWindow, TimeSeries, segment_blocks
 from tsvalue.synthetic import SyntheticSpec, generate
@@ -38,6 +44,13 @@ def scalar_instance(x, y):
 def cfg(lr=0.1, **kw):
     kw.setdefault("block_length", 2)
     return ValuationConfig(learning_rate=lr, **kw)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+@pytest.mark.parametrize("owner", [ValuationConfig, TrainSettings], ids=lambda c: c.__name__)
+def test_settings_build_the_packages_optimizer(owner, kind):
+    # the config's kind and rate are all there is to choose; the rest is the package's
+    assert owner(optimizer_kind=kind, learning_rate=0.02).optimizer() == OptimizerConfig(kind, 0.02)
 
 
 class TestBlockInstances:
