@@ -24,7 +24,6 @@ from .forecaster import (
 from .oracles import (
     HessianMatrix,
     ShapleyEstimate,
-    brute_force_retrain,
     build_hessian,
     exact_influence,
     loo_linear_oracle,
@@ -42,7 +41,6 @@ from .selection import (
     select,
 )
 from .series import (
-    FoldPlan,
     HoldoutSplit,
     NormStats,
     SampleWindow,

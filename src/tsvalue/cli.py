@@ -33,6 +33,7 @@ from .pipeline import TrainSettings, ValuationRun, fit_value_model, run_valuatio
 from .reports import (
     write_ablation,
     write_bench,
+    write_csv,
     write_eval_reports,
     write_generalization,
     write_json,
@@ -41,6 +42,7 @@ from .reports import (
 from .selection import (
     CorruptionLabels,
     EvalReport,
+    check_test_range,
     detection_auroc,
     finetune_and_eval,
     inject_corruption,
@@ -55,7 +57,7 @@ from .series import (
     segment_blocks,
     split_holdout,
 )
-from .synthetic import generate, write_csv as write_series_csv
+from .synthetic import generate
 from .valuation import (
     ValuationConfig,
     block_instances,
@@ -198,14 +200,16 @@ def ablate_block_length(series: TimeSeries, split: HoldoutSplit,
                         seed: int = 0) -> list[EvalReport]:
     """Fit, value, select and evaluate at each block length.
 
-    Every length is checked (model spec and sample coverage) before the
-    first model is fitted, so a bad grid fails with its typed error at once.
+    Every length is checked (model spec, sample coverage and test range)
+    before the first model is fitted, so a bad grid fails with its typed
+    error at once.
     """
     target = series.slice(0, split.target_end)
     configs = [replace(config, block_length=length, seed=seed) for length in block_lengths]
     specs = [spec_for_block_length(model_template, length) for length in block_lengths]
     for vcfg in configs:
         check_coverage(target.length, vcfg)
+    check_test_range(split, max(block_lengths))  # a block is one finetuning instance
     reports = []
     for vcfg, spec in zip(configs, specs):
         run = run_valuation(target, vcfg, *fit_value_model(target, spec, pretrain, seed))
@@ -238,8 +242,7 @@ def cmd_synth(cfg: RunConfig, out_dir: Path) -> None:
         raise ConfigError("synth needs a dataset.synthetic section")
     series = generate(cfg.dataset.synthetic)
     path = out_dir / "dataset.csv"
-    write_series_csv(series, path,
-                     comment=f"version={__version__} config_hash={cfg.config_hash}")
+    write_csv(path, cfg.config_hash, list(series.channel_names), series.values.tolist())
     print(f"tsvalue: wrote {path} ({series.length} rows x {series.n_channels} channels)")
 
 
@@ -266,6 +269,7 @@ def cmd_value(cfg: RunConfig, out_dir: Path) -> None:
 def cmd_select_eval(cfg: RunConfig, out_dir: Path) -> None:
     prep = _prepare(cfg)
     check_coverage(prep.target.length, cfg.valuation)
+    check_test_range(prep.split, cfg.valuation.block_length)
     model, params = _value_model(cfg, prep.target)
     run = run_valuation(prep.target, cfg.valuation, model, params)
     reports = select_and_evaluate(run, prep.series, prep.split, cfg.selection.strategies,
@@ -401,6 +405,7 @@ def cmd_bench(cfg: RunConfig, out_dir: Path) -> None:
 def cmd_generalize(cfg: RunConfig, out_dir: Path) -> None:
     prep = _prepare(cfg)
     check_coverage(prep.target.length, cfg.valuation)
+    check_test_range(prep.split, cfg.valuation.block_length)
     value_spec = cfg.model.spec(cfg.valuation.block_length, prep.series.n_channels)
     downstream_spec = cfg.downstream_model.spec(cfg.valuation.block_length,
                                                 prep.series.n_channels)

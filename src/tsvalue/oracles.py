@@ -2,9 +2,9 @@
 
 These are the expensive routes the one-step estimator is meant to
 approximate: a dense damped-Hessian influence solve, closed-form
-leave-one-out for ridge systems, brute-force retraining, and Monte Carlo
-Shapley. All report "positive = beneficial" so rank comparisons across
-methods need no sign flips.
+leave-one-out for ridge systems, and Monte Carlo Shapley. All report
+"positive = beneficial" so rank comparisons across methods need no sign
+flips.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from .errors import (
     RankDeficient,
     SingularSystem,
 )
-from .forecaster import ForecastInstance, Forecaster, OptimizerConfig, train
+from .forecaster import ForecastInstance, Forecaster
 
 MAX_DENSE_PARAMS = 5000
 ENUMERATION_CAP = 8
 SHAPLEY_MODES = ("mc", "enumerate")
 _FD_STEP = 1e-5
+_FD_COL_CHUNK = 128  # Hessian columns per batch of perturbed gradients
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,7 @@ def default_ridge(x: np.ndarray, n_params: int) -> float:
 
 def build_hessian(model: Forecaster, params: np.ndarray,
                   instances: ForecastInstance, mode: str = "analytic",
-                  damping: float | None = None,
-                  col_chunk: int = 128) -> HessianMatrix:
+                  damping: float | None = None) -> HessianMatrix:
     """Dense mean Hessian of the per-instance MSE losses.
 
     ``analytic`` is exact and available for linear_ar; ``finite_diff`` takes
@@ -93,8 +93,8 @@ def build_hessian(model: Forecaster, params: np.ndarray,
     elif mode == "finite_diff":
         h = np.empty((p, p))
         base = np.asarray(params, dtype=np.float64)
-        for lo in range(0, p, col_chunk):
-            idx = np.arange(lo, min(lo + col_chunk, p))
+        for lo in range(0, p, _FD_COL_CHUNK):
+            idx = np.arange(lo, min(lo + _FD_COL_CHUNK, p))
             b = idx.size
             perturbed = np.repeat(base[None, :], 2 * b, axis=0)
             perturbed[np.arange(b), idx] += _FD_STEP
@@ -174,36 +174,10 @@ def loo_linear_oracle(x: np.ndarray, y: np.ndarray, ridge: float,
     return np.array(without) - ctx_loss(beta)
 
 
-def brute_force_retrain(model: Forecaster, instances: ForecastInstance,
-                        leave_out: int | None,
-                        context: ForecastInstance,
-                        epochs: int, batch_size: int,
-                        optimizer: OptimizerConfig, seed: int,
-                        init_params: np.ndarray | None = None) -> float:
-    """Context-loss change from retraining without one training instance.
-
-    Returns loss(trained without it) - loss(trained on everything), so a
-    beneficial instance comes out positive. Same seed and schedule for both
-    runs. Guarded to <= 200 training instances.
-    """
-    if len(instances) > 200:
-        raise PTooLarge(f"brute-force retraining guard: {len(instances)} instances > 200")
-    full = train(model, instances, epochs, batch_size, optimizer, seed,
-                 init_params=init_params)
-    kept = instances[np.arange(len(instances)) != leave_out]
-    reduced = train(model, kept, epochs, batch_size, optimizer, seed,
-                    init_params=init_params)
-    loss_full = model.batch_loss(full.params, context)
-    loss_reduced = model.batch_loss(reduced.params, context)
-    return loss_reduced - loss_full
-
-
 @dataclass(frozen=True)
 class ShapleyEstimate:
     values: np.ndarray
     stderr: np.ndarray
-    n_permutations: int
-    mode: str
 
     @property
     def total(self) -> float:
@@ -250,8 +224,7 @@ def mc_shapley(n_blocks: int, utility: Callable[[tuple[int, ...]], float],
                 subset = frozenset(others[i] for i in range(n_blocks - 1) if mask >> i & 1)
                 terms.append(weights[len(subset)] * (u(subset | {k}) - u(subset)))
             values[k] = math.fsum(terms)
-        return ShapleyEstimate(values=values, stderr=np.zeros(n_blocks),
-                               n_permutations=0, mode="enumerate")
+        return ShapleyEstimate(values=values, stderr=np.zeros(n_blocks))
 
     if mode != "mc":
         raise ValueError(f"unknown Shapley mode {mode!r}")
@@ -271,8 +244,7 @@ def mc_shapley(n_blocks: int, utility: Callable[[tuple[int, ...]], float],
         stderr = marginals.std(axis=0, ddof=1) / math.sqrt(n_permutations)
     else:
         stderr = np.zeros(n_blocks)
-    return ShapleyEstimate(values=values, stderr=stderr,
-                           n_permutations=n_permutations, mode="mc")
+    return ShapleyEstimate(values=values, stderr=stderr)
 
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:

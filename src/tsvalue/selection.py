@@ -36,7 +36,6 @@ class SelectionResult:
     strategy: str
     ratio: float
     chosen: tuple[int, ...]  # sample indices, ascending
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -57,12 +56,9 @@ class EvalReport:
 class CorruptionLabels:
     """Which block-aligned tiles of the series were corrupted."""
 
-    kind: str
-    magnitude: float
     block_length: int
     tile_starts: tuple[int, ...]   # every tile in the corrupted range
     corrupted: np.ndarray          # bool per tile
-    seed: int
 
     @property
     def regions(self) -> tuple[tuple[int, int], ...]:
@@ -105,7 +101,7 @@ def select(scores: SampleScores, strategy: str, ratio: float, seed: int = 0) -> 
             order = np.lexsort((starts, keys))  # primary: value rank, ties: start
             chosen = order[:k]
     return SelectionResult(strategy=strategy, ratio=ratio,
-                           chosen=tuple(int(i) for i in np.sort(chosen)), seed=seed)
+                           chosen=tuple(int(i) for i in np.sort(chosen)))
 
 
 def training_instances(series: TimeSeries, windows: list[SampleWindow],
@@ -118,6 +114,15 @@ def training_instances(series: TimeSeries, windows: list[SampleWindow],
                              starts=np.concatenate([np.arange(0), *starts]))
 
 
+def check_test_range(split: HoldoutSplit, span: int) -> None:
+    """Raise TestRangeTooShort unless the test range holds one ``span``-step instance."""
+    test_lo, test_hi = split.test_range
+    if test_hi - test_lo < span:
+        raise TestRangeTooShort(
+            f"test range of {test_hi - test_lo} steps cannot fit a {span}-step instance"
+        )
+
+
 def finetune_and_eval(model: Forecaster, base_params: np.ndarray,
                       selection: SelectionResult, samples: list[SampleWindow],
                       series: TimeSeries, split: HoldoutSplit,
@@ -125,12 +130,8 @@ def finetune_and_eval(model: Forecaster, base_params: np.ndarray,
     """Finetune a copy of base_params on the selected samples, score on the test range."""
     spec = model.spec
     start = time.perf_counter()
-    span = spec.lookback + spec.horizon
+    check_test_range(split, spec.lookback + spec.horizon)
     test_lo, test_hi = split.test_range
-    if test_hi - test_lo < span:
-        raise TestRangeTooShort(
-            f"test range of {test_hi - test_lo} steps cannot fit a {span}-step instance"
-        )
     train_insts = training_instances(series, samples, selection.chosen,
                                      spec.lookback, spec.horizon,
                                      stride=settings.instance_stride)
@@ -188,10 +189,8 @@ def inject_corruption(series: TimeSeries, fraction: float, kind: str,
             values[tile] += magnitude
         else:  # constant_hold
             values[tile] = values[s]
-    labels = CorruptionLabels(kind=kind, magnitude=magnitude,
-                              block_length=block_length,
-                              tile_starts=tile_starts, corrupted=corrupted,
-                              seed=seed)
+    labels = CorruptionLabels(block_length=block_length, tile_starts=tile_starts,
+                              corrupted=corrupted)
     return TimeSeries(values, series.channel_names, series.origin + "+corrupted"), labels
 
 

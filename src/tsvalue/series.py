@@ -3,7 +3,7 @@
 A series is a T x M float64 matrix (rows = time steps, columns = channels).
 All downstream work is index-based: holdout splits are chronological,
 blocks are fixed-length (possibly overlapping) windows, sample windows are
-the non-overlapping selection units, and fold plans partition samples.
+the non-overlapping selection units, and fold ids partition samples.
 """
 
 from __future__ import annotations
@@ -95,15 +95,6 @@ class HoldoutSplit:
     @property
     def test_range(self) -> tuple[int, int]:
         return (self.target_end, self.total)
-
-
-@dataclass(frozen=True)
-class FoldPlan:
-    """Partition of sample indices into k folds, reproducible from seed."""
-
-    k: int
-    assignment: np.ndarray  # fold id per sample index
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -294,8 +285,9 @@ def enumerate_samples(range_: tuple[int, int], sample_length: int) -> list[Sampl
     return [SampleWindow(begin + i * sample_length, sample_length) for i in range(n)]
 
 
-def make_folds(n_samples: int, k: int, seed: int) -> FoldPlan:
-    """Seeded random permutation, round-robin fold assignment (sizes differ by <= 1)."""
+def make_folds(n_samples: int, k: int, seed: int) -> np.ndarray:
+    """Read-only int64 fold id per sample index: a seeded random permutation
+    dealt round-robin into k folds, so fold sizes differ by at most 1."""
     if k < 2:
         raise ValueError(f"fold count must be >= 2, got {k}")
     if n_samples < k:
@@ -304,7 +296,7 @@ def make_folds(n_samples: int, k: int, seed: int) -> FoldPlan:
     assignment = np.empty(n_samples, dtype=np.int64)
     assignment[perm] = np.arange(n_samples) % k
     assignment.setflags(write=False)
-    return FoldPlan(k=k, assignment=assignment, seed=seed)
+    return assignment
 
 
 def compute_norm_stats(series: TimeSeries, target_end: int) -> NormStats:

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -78,17 +76,3 @@ def _origin(spec: SyntheticSpec) -> str:
     return (f"synthetic:{spec.generator}(T={spec.length},M={spec.channels},"
             f"noise={spec.noise_std:g},seed={spec.seed})")
 
-
-def write_csv(series: TimeSeries, path: str | Path, comment: str | None = None) -> None:
-    """Write a series in the ingestion format (header + numeric rows).
-
-    An optional leading '#' comment line carries provenance; the loader
-    skips it.
-    """
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(series.channel_names)
-        for row in series.values:
-            writer.writerow([repr(float(v)) for v in row])

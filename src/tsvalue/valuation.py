@@ -146,7 +146,7 @@ def value_all_blocks(series: TimeSeries, model: Forecaster, params: np.ndarray,
     # the blocks are the stride-th windows from 0, so one view holds them all
     instances = sliding_instances(series.values, model.spec.lookback, horizon,
                                   stride=config.stride)
-    block_folds = folds.assignment[np.minimum(starts // sample_len, len(samples) - 1)]
+    block_folds = folds[np.minimum(starts // sample_len, len(samples) - 1)]
 
     values = np.empty(len(starts))
     for fold_id in range(config.k_folds):

@@ -1,10 +1,15 @@
-"""Test-side reference for ``series.load_csv``: the per-cell loader it replaced.
+"""Test-side references for CSV ingestion and the synthetic dataset writer.
+
+``load_csv_reference`` is the per-cell loader that ``series.load_csv`` replaced.
 
 Every row is read with ``csv``, held in memory, and every cell converted
 on its own. It keeps the original loader's rules and error order, and
 differs from it only where ``load_csv``'s documented dialect does: ±inf
 cells are rejected with the NaN cells' row and column, naive and offset
 timestamps do not mix, and a number is ASCII with no ``_`` digit grouping.
+
+``write_csv_reference`` is the series writer that ``tsvalue synth`` used
+before it wrote ``dataset.csv`` through ``reports.write_csv``.
 """
 
 import csv
@@ -87,3 +92,15 @@ def _check_timestamps(cells: list[str]) -> None:
                 f"timestamps not strictly increasing at row {i + 1}: "
                 f"{cells[i]!r} <= {cells[i - 1]!r}"
             )
+
+
+def write_csv_reference(series: TimeSeries, path, comment: str | None = None) -> None:
+    """The series writer ``tsvalue synth`` once had: an optional ``# comment``
+    line, the channel names, then each row's floats as ``repr`` text."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(series.channel_names)
+        for row in series.values:
+            writer.writerow([repr(float(v)) for v in row])

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import shutil
@@ -14,17 +15,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tsvalue import cli, errors, series
+from tsvalue import __version__, cli, errors, series
 from tsvalue.cli import _oracle_scores, main
 from tsvalue.config import RunConfig
 from tsvalue.errors import ConfigError
 from tsvalue.experiments import _bench_instances
-from tsvalue.forecaster import Forecaster, ModelSpec
+from tsvalue.forecaster import Forecaster, ModelSpec, save_model, train
 from tsvalue.oracles import build_hessian
-from tsvalue.synthetic import SyntheticSpec
-from tsvalue.valuation import ValuationConfig
+from tsvalue.synthetic import GENERATORS, SyntheticSpec, generate
+from tsvalue.valuation import ValuationConfig, block_instances
 
 import per_block_reference as per_block
+from csv_reference import write_csv_reference
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -65,6 +67,19 @@ def checkpoint_text(spec=CHECKPOINT_SPEC, params=(0.0,) * 38, drop=None):
 
 
 COMMANDS = ("synth", "value", "oracle-compare", "select-eval", "ablate", "bench", "generalize")
+
+
+def assert_one_error_line(err: str, code: int, kind: str) -> None:
+    """stderr is exactly one parsable failure line with this exit code and error kind."""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    match = re.match(r'^tsvalue: exit=(\d) kind=(\w+) detail=".*"$', lines[0])
+    assert match and match.groups() == (str(code), kind)
+
+
+def no_fit(*args, **kwargs):
+    raise AssertionError("a model was fitted")
+
 
 # values of the wrong JSON type for each scalar annotation
 _WRONG_SCALARS = {
@@ -240,9 +255,6 @@ class TestConfig:
     @given(case=st.sampled_from(WRONG_TYPE_CASES), command=st.sampled_from(COMMANDS))
     def test_wrong_json_type_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                       case, command):
-        def no_fit(*args, **kwargs):
-            raise AssertionError("a model was fitted")
-
         monkeypatch.setattr(cli, "fit_value_model", no_fit)
         capsys.readouterr()  # examples share the fixtures: start each one clean
         shutil.rmtree(tmp_path / "out", ignore_errors=True)
@@ -287,6 +299,25 @@ class TestSynth:
         first = (tmp_path / "out" / "dataset.csv").read_bytes()
         main(["synth", "--config", str(path)])
         assert (tmp_path / "out" / "dataset.csv").read_bytes() == first
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("generator", GENERATORS)
+    def test_dataset_csv_matches_reference_writer(self, tmp_path, generator, channels):
+        synthetic = {"generator": generator, "length": 150, "channels": channels,
+                     "noise_std": 0.1, "seed": 2}
+        path = write_config(tmp_path, {"dataset": {"synthetic": synthetic}})
+        assert main(["synth", "--config", str(path)]) == 0
+        reference = tmp_path / "reference.csv"
+        write_csv_reference(generate(SyntheticSpec(**synthetic)), reference,
+                            comment=f"version={__version__} "
+                                    f"config_hash={RunConfig.load(path).config_hash}")
+        assert (tmp_path / "out" / "dataset.csv").read_bytes() == reference.read_bytes()
+
+    def test_path_dataset_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"dataset": {"path": str(tmp_path / "data.csv")}})
+        assert main(["synth", "--config", str(path)]) == 1
+        assert_one_error_line(capsys.readouterr().err, 1, "ConfigError")
+        assert not (tmp_path / "out" / "dataset.csv").exists()
 
 
 class TestValue:
@@ -512,9 +543,6 @@ class TestOracleCompare:
     # the block sets depend only on the target length and the config, so a
     # bad set fails before the value model is trained
     def _fails_before_training(self, tmp_path, capsys, monkeypatch, overrides, code, kind):
-        def no_fit(*args, **kwargs):
-            raise AssertionError("a model was fitted")
-
         monkeypatch.setattr(cli, "fit_value_model", no_fit)
         path = write_config(tmp_path, overrides)
         assert main(["oracle-compare", "--config", str(path)]) == code
@@ -567,6 +595,34 @@ class TestOracleCompare:
         for a in doc["methods"]:
             for b in doc["methods"]:
                 assert -1.0 <= doc["spearman"][a][b] <= 1.0
+
+    @pytest.mark.parametrize("mode", ["enumerate", "mc"])
+    def test_shapley_scores_sum_to_the_full_coalition_gain(self, tmp_path, mode):
+        # a fixed checkpoint lets the test rebuild the utility the command uses:
+        # minus the context loss after finetuning on a subset of the scored blocks
+        ckpt = tmp_path / "model.json"
+        path = write_config(tmp_path, {
+            "model": {"checkpoint": str(ckpt)},
+            "oracle_compare": {"methods": ["one_step", "shapley"], "max_blocks": 6,
+                               "context_cap": 6, "shapley_mode": mode,
+                               "shapley_permutations": 5, "shapley_epochs": 2}})
+        cfg = RunConfig.load(path)
+        model = Forecaster(cfg.model.spec(cfg.valuation.block_length, channels=1))
+        params = 0.1 * np.random.default_rng(0).normal(size=model.spec.n_params)
+        save_model(ckpt, model.spec, params)
+        assert main(["oracle-compare", "--config", str(path)]) == 0
+        doc = json.loads((tmp_path / "out" / "oracle_compare.json").read_text())
+        shapley = doc["scores"]["shapley"]
+
+        target = cli._prepare(cfg).target
+        scored, context = (block_instances(target, starts, cfg.valuation.block_length,
+                                           model.spec.horizon)
+                           for starts in cli._oracle_blocks(cfg, target.length))
+        assert len(shapley) == len(scored) == 6
+        full = train(model, scored, cfg.oracle_compare.shapley_epochs, 8,
+                     cfg.finetune.optimizer(), cfg.seed, init_params=params)
+        gain = model.batch_loss(params, context) - model.batch_loss(full.params, context)
+        assert abs(math.fsum(shapley) - gain) <= 1e-9
 
     @pytest.mark.parametrize("architecture, hidden", [("linear_ar", 0), ("mlp", 5)])
     def test_batched_gradient_oracles_match_per_block_references(self, architecture,
@@ -652,9 +708,6 @@ class TestOtherCommands:
     ])
     def test_unread_checkpoint_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                      command, overrides):
-        def no_fit(*args, **kwargs):
-            raise AssertionError("a model was fitted")
-
         monkeypatch.setattr(cli, "fit_value_model", no_fit)
         path = write_config(tmp_path, overrides)
         assert main([command, "--config", str(path)]) == 1
@@ -704,6 +757,58 @@ class TestOtherCommands:
         monkeypatch.setenv("TSVALUE_OUT", str(env_out))
         assert main(["synth", "--config", str(path)]) == 0
         assert (env_out / "dataset.csv").exists()
+
+
+class TestEarlyFailures:
+    """Bad inputs fail with one parsable stderr line, before any model is fitted."""
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("select-eval", {}),
+        ("generalize", {}),
+        # only the largest length misses the 40-step test range
+        ("ablate", {"ablation": {"block_lengths": [20, 100], "strategies": ["top"]}}),
+    ])
+    def test_too_short_test_range_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch,
+                                                         command, overrides):
+        # T = 800 at test fraction 0.05 leaves 40 test steps for 100-step instances
+        monkeypatch.setattr(cli, "fit_value_model", no_fit)
+        path = write_config(tmp_path, {
+            "dataset": {"synthetic": {"generator": "sine_mix", "length": 800, "seed": 1}},
+            "test_fraction": 0.05,
+            "valuation": {"block_length": 100, "stride": 10},
+            **overrides})
+        assert main([command, "--config", str(path)]) == 2
+        assert_one_error_line(capsys.readouterr().err, 2, "TestRangeTooShort")
+
+    def test_missing_config_file_exits_1(self, tmp_path, capsys):
+        assert main(["value", "--config", str(tmp_path / "no_such.json")]) == 1
+        assert_one_error_line(capsys.readouterr().err, 1, "ConfigError")
+
+    @pytest.mark.parametrize("command", ["value", "select-eval", "oracle-compare"])
+    def test_checkpoint_of_another_spec_exits_1_before_any_fit(self, tmp_path, capsys,
+                                                               monkeypatch, command):
+        # lookback 8 where the 20-step blocks and horizon 2 need 18: P = (8 + 1) * 2
+        monkeypatch.setattr(cli, "fit_value_model", no_fit)
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(checkpoint_text(spec={**CHECKPOINT_SPEC, "lookback": 8},
+                                        params=(0.0,) * 18), encoding="utf-8")
+        path = write_config(tmp_path, {"model": {"checkpoint": str(ckpt)}})
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err, 1, "ConfigError")
+        assert "does not match configured spec" in err
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n",
+        "timestamp\n2024-01-01T00:00:00\n2024-01-01T01:00:00\n",
+    ], ids=["header-only", "timestamp-only"])
+    def test_csv_without_values_exits_2(self, tmp_path, capsys, monkeypatch, text):
+        monkeypatch.setattr(cli, "fit_value_model", no_fit)
+        data = tmp_path / "data.csv"
+        data.write_text(text, encoding="utf-8")
+        path = write_config(tmp_path, {"dataset": {"path": str(data)}})
+        assert main(["value", "--config", str(path)]) == 2
+        assert_one_error_line(capsys.readouterr().err, 2, "NonNumericCell")
 
 
 class TestColdStart:

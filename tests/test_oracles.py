@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from tsvalue import errors
-from tsvalue.forecaster import ForecastInstance, Forecaster, ModelSpec, OptimizerConfig
+from tsvalue.forecaster import ForecastInstance, Forecaster, ModelSpec
 from tsvalue.oracles import (
     average_ranks,
-    brute_force_retrain,
     build_hessian,
     default_ridge,
     exact_influence,
@@ -208,68 +207,6 @@ class TestLooLinearOracle:
                         for i in range(n)])
         assert got.shape == (n,)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-class TestBruteForceRetrain:
-    def setup_method(self):
-        self.spec = ModelSpec("linear_ar", 3, 1, 1)
-        self.model = Forecaster(self.spec)
-        self.opt = OptimizerConfig("adam", 0.05)
-
-    def linear_instances(self, rng, n, w):
-        out = []
-        for _ in range(n):
-            x = rng.normal(size=3)
-            out.append(ForecastInstance(x[:, None], [[float(w @ x)]]))
-        return stack(out)
-
-    def test_noop_leave_out_exactly_zero(self):
-        rng = np.random.default_rng(0)
-        insts = self.linear_instances(rng, 8, rng.normal(size=3))
-        ctx = self.linear_instances(rng, 4, np.zeros(3))
-        assert brute_force_retrain(self.model, insts, None, ctx, 5, 4,
-                                   self.opt, seed=0) == 0.0
-
-    def test_duplicate_block_change_below_noise_floor(self):
-        # small noisy problem trained full-batch to convergence: removing a
-        # unique point moves the optimum, removing a duplicated one does not
-        rng = np.random.default_rng(1)
-        w = rng.normal(size=3)
-        insts = []
-        for _ in range(6):
-            x = rng.normal(size=3)
-            insts.append(ForecastInstance(x[:, None],
-                                          [[float(w @ x + 0.5 * rng.normal())]]))
-        insts = stack(insts + [insts[0]])  # duplicate; removing index 0 leaves a copy
-        ctx = self.linear_instances(rng, 8, w)
-        opt = OptimizerConfig("adam", 0.05)
-        changes = [brute_force_retrain(self.model, insts, i, ctx, 400,
-                                       len(insts), opt, seed=0)
-                   for i in range(len(insts))]
-        dup_change = abs(changes[0])
-        floor = np.median(np.abs(changes))
-        assert dup_change <= 0.1 * floor or dup_change < 1e-10
-
-    def test_noise_block_not_beneficial(self):
-        good = 0
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            w = rng.normal(size=3)
-            insts = self.linear_instances(rng, 10, w)
-            noise = ForecastInstance(rng.normal(size=(3, 1)),
-                                     rng.normal(size=(1, 1)) * 3)
-            insts = stack([insts, noise])
-            ctx = self.linear_instances(rng, 8, w)
-            change = brute_force_retrain(self.model, insts, len(insts) - 1, ctx,
-                                         40, 4, self.opt, seed=seed)
-            good += change <= 0
-        assert good >= 16
-
-    def test_guard(self):
-        insts = self.linear_instances(np.random.default_rng(0), 201, np.zeros(3))
-        with pytest.raises(errors.PTooLarge):
-            brute_force_retrain(self.model, insts, 0, insts[:2], 1, 4,
-                                self.opt, seed=0)
 
 
 class TestMcShapley:

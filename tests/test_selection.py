@@ -414,3 +414,6 @@ class TestExperimentHarnesses:
         for target in (300, 3000, 30000):
             spec = mlp_spec_for_params(target)
             assert abs(spec.n_params - target) / target < 0.1
+        # the benchmark's sizes; 2,845 stays under the default exact_limit of 3,000
+        assert [mlp_spec_for_params(p).n_params for p in (300, 1000, 3000, 10000, 30000)] \
+            == [289, 955, 2845, 9469, 28423]

@@ -247,20 +247,24 @@ class TestEnumerateSamples:
 
 class TestMakeFolds:
     def test_balanced(self):
-        plan = make_folds(10, 5, seed=0)
-        members = [np.flatnonzero(plan.assignment == f) for f in range(5)]
+        folds = make_folds(10, 5, seed=0)
+        members = [np.flatnonzero(folds == f) for f in range(5)]
         assert [len(m) for m in members] == [2] * 5
         assert sorted(np.concatenate(members)) == list(range(10))
 
     def test_uneven(self):
-        plan = make_folds(11, 5, seed=1)
-        sizes = sorted(len(np.flatnonzero(plan.assignment == f)) for f in range(5))
+        folds = make_folds(11, 5, seed=1)
+        sizes = sorted(len(np.flatnonzero(folds == f)) for f in range(5))
         assert sizes == [2, 2, 2, 2, 3]
 
     def test_deterministic(self):
         a = make_folds(37, 5, seed=42)
         b = make_folds(37, 5, seed=42)
-        np.testing.assert_array_equal(a.assignment, b.assignment)
+        np.testing.assert_array_equal(a, b)
+
+    def test_read_only_int64_array(self):
+        folds = make_folds(12, 3, seed=0)
+        assert folds.dtype == np.int64 and not folds.flags.writeable
 
     def test_too_few(self):
         with pytest.raises(errors.TooFewSamples):
@@ -271,9 +275,9 @@ class TestMakeFolds:
     def test_partition_property(self, n, k, seed):
         if n < k:
             return
-        plan = make_folds(n, k, seed)
-        assert plan.assignment.shape == (n,)
-        sizes = np.bincount(plan.assignment, minlength=k)
+        folds = make_folds(n, k, seed)
+        assert folds.shape == (n,)
+        sizes = np.bincount(folds, minlength=k)
         assert sizes.max() - sizes.min() <= 1
         assert sizes.sum() == n
 

@@ -3,7 +3,8 @@ import pytest
 
 from tsvalue.errors import InvalidSpec
 from tsvalue.series import load_csv
-from tsvalue.synthetic import SyntheticSpec, generate, write_csv
+from tsvalue.reports import write_csv
+from tsvalue.synthetic import SyntheticSpec, generate
 
 
 class TestGenerate:
@@ -39,12 +40,13 @@ class TestGenerate:
 
 class TestWriteCsv:
     def test_round_trips_through_ingestion(self, tmp_path):
+        # the writer `tsvalue synth` uses: a provenance comment, the header, one row per step
         ts = generate(SyntheticSpec(generator="sine_mix", length=100, channels=2,
                                     noise_std=0.1, seed=4))
         path = tmp_path / "data.csv"
-        write_csv(ts, path)
+        write_csv(path, "0123", list(ts.channel_names), ts.values.tolist())
         lines = path.read_text().splitlines()
-        assert len(lines) == 101 and lines[0] == "ch0,ch1"
+        assert len(lines) == 102 and lines[1] == "ch0,ch1"
         back = load_csv(path)
         np.testing.assert_array_equal(back.values, ts.values)
         assert back.channel_names == ts.channel_names

@@ -230,7 +230,7 @@ class TestValueAllBlocks:
         samples = enumerate_samples((0, series.length), sample_len)
         folds = make_folds(len(samples), config.k_folds, config.seed)
         for start, fold in zip(scores.starts.tolist(), scores.folds.tolist()):
-            expected = folds.assignment[min(start // sample_len, len(samples) - 1)]
+            expected = folds[min(start // sample_len, len(samples) - 1)]
             assert fold == expected
 
     def test_duplicate_fold_data_scores_symmetric(self):
